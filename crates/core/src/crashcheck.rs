@@ -5,16 +5,18 @@
 //! mid-operation crashes on odd boundaries — then runs the device's
 //! recovery and checks the recovered state:
 //!
-//! * on the **flash card**, a differential [`ShadowModel`] mirrors every
-//!   write and trim; after each crash the recovered `(lbn, generation)`
-//!   mapping must be a legal post-crash state (acknowledged writes
-//!   survive, the in-flight write is old/new/absent, nothing is
-//!   resurrected), the block census must still partition capacity,
-//!   retired segments must stay retired, and an interrupted cleaning pass
-//!   must leave no block mapped into its victim segment (copy-before-
-//!   erase makes cleaning atomic);
+//! * on the block-mapped **flash card** and **erasure-coded array**, one
+//!   stateful driver runs a differential [`ShadowModel`] that mirrors
+//!   every write and trim; after each crash the recovered
+//!   `(lbn, generation)` mapping must be a legal post-crash state
+//!   (acknowledged writes survive, the in-flight write is old/new/absent,
+//!   nothing is resurrected). Per-device hooks add the card's checks (the
+//!   block census still partitions capacity, retired segments stay
+//!   retired, an interrupted cleaning pass leaves no block mapped into its
+//!   victim segment) and the array's (it never fails under tolerated
+//!   losses, and no unreadable block goes unreported);
 //! * on the **magnetic disk** and **flash disk**, which recover behind
-//!   their controllers, the driver checks the accounting story: every
+//!   their controllers, one accounting sweep checks the story: every
 //!   crash is counted, recovery time accrues monotonically, and the
 //!   device serves requests again after the scan.
 //!
@@ -29,7 +31,7 @@ use std::collections::BTreeSet;
 use mobistore_device::array::ArrayDevice;
 use mobistore_device::disk::MagneticDisk;
 use mobistore_device::flashdisk::FlashDisk;
-use mobistore_device::{DeviceError, Dir};
+use mobistore_device::{Device, Dir, Request};
 use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
 use mobistore_sim::crashcheck::{ShadowModel, Violation};
 use mobistore_sim::fault::DeathSchedule;
@@ -39,6 +41,7 @@ use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_trace::record::{DiskOp, DiskOpKind, Trace};
 
 use crate::config::{BackendConfig, SystemConfig};
+use crate::simulator::working_set;
 
 /// How many operation boundaries receive an injected crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,10 +119,93 @@ impl TortureReport {
 /// Runs the torture sweep appropriate for `config`'s backend.
 pub fn torture(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
     match &config.backend {
-        BackendConfig::Disk { .. } => torture_disk(config, trace, opts),
-        BackendConfig::FlashDisk { .. } => torture_flash_disk(config, trace, opts),
-        BackendConfig::FlashCard { .. } => torture_flash_card(config, trace, opts),
-        BackendConfig::Array { .. } => torture_array(config, trace, opts),
+        BackendConfig::Disk {
+            params,
+            spin_down,
+            seek_model,
+        } => {
+            let fat_bytes = config.fault.fat_scan_bytes;
+            let disk = MagneticDisk::with_policy(params.clone(), *spin_down)
+                .with_queueing(config.queueing)
+                .with_seek_model(*seek_model)
+                .with_fat_scan_bytes(fat_bytes);
+            let recovery =
+                |d: &MagneticDisk| (d.counters().power_failures, d.counters().recovery_time);
+            let scan = (fat_bytes > 0).then_some("FAT replay");
+            accounting_sweep(config, trace, opts, "magnetic disk", disk, recovery, scan)
+        }
+        BackendConfig::FlashDisk { params } => {
+            let fd = FlashDisk::new(params.clone()).with_queueing(config.queueing);
+            let recovery =
+                |d: &FlashDisk| (d.counters().power_failures, d.counters().recovery_time);
+            accounting_sweep(
+                config,
+                trace,
+                opts,
+                "flash disk",
+                fd,
+                recovery,
+                Some("remap rescan"),
+            )
+        }
+        BackendConfig::FlashCard {
+            params,
+            capacity_bytes,
+            mode,
+            victim_policy,
+            ..
+        } => {
+            let card_config = FlashCardConfig {
+                params: params.clone(),
+                block_size: trace.block_size,
+                capacity_bytes: *capacity_bytes,
+                mode: *mode,
+                victim_policy: *victim_policy,
+                queueing: config.queueing,
+            };
+            stateful_sweep(config, trace, opts, |working| {
+                let card = FlashCardStore::try_new(card_config.clone())
+                    .map_err(|e| format!("cannot build card: {e}"))?
+                    .with_faults(config.fault)
+                    .with_integrity(config.integrity);
+                if working.len() as u64 > card.capacity_blocks() {
+                    return Err(format!(
+                        "working set ({} blocks) exceeds card capacity ({} blocks)",
+                        working.len(),
+                        card.capacity_blocks()
+                    ));
+                }
+                Ok(card)
+            })
+        }
+        BackendConfig::Array {
+            k,
+            m,
+            children,
+            spares,
+            rebuild_rate,
+        } => {
+            // Exactly `m` children die, spread across both the child set
+            // and the replayed window — the worst loss pattern the
+            // geometry claims to tolerate.
+            let n = trace.ops.len().min(opts.max_ops);
+            let span_ns = trace.ops[..n]
+                .last()
+                .map_or(0, |op| op.time.saturating_since(SimTime::ZERO).as_nanos());
+            let mut deaths: Vec<Option<SimTime>> = vec![None; children.len()];
+            for d in 0..*m {
+                let child = d * children.len() / *m;
+                let at = span_ns * (d as u64 + 1) / (*m as u64 + 1);
+                deaths[child] = Some(SimTime::from_nanos(at));
+            }
+            stateful_sweep(config, trace, opts, |_| {
+                Ok(ArrayDevice::new(*k, *m, children, trace.block_size)
+                    .with_queueing(config.queueing)
+                    .with_deaths(DeathSchedule::explicit(deaths.clone()))
+                    .with_spares(*spares)
+                    .with_rebuild_rate(*rebuild_rate))
+            })
+        }
     }
 }
 
@@ -181,67 +267,16 @@ impl Observer for UncorrectableCollector {
     }
 }
 
-/// Applies every freshly-reported uncorrectable block to the shadow (the
-/// host was told the data is gone, so its absence is now expected) and
-/// the excused set used by the verifier.
-fn drain_reported(
-    obs: &mut UncorrectableCollector,
-    shadow: &mut ShadowModel,
-    reported: &mut BTreeSet<u64>,
-    report: &mut TortureReport,
-) {
-    for lbn in obs.fresh.drain(..) {
-        if reported.insert(lbn) {
-            report.uncorrectable_blocks += 1;
-        }
-        shadow.trim(lbn, 1);
-    }
-}
-
-fn working_set(ops: &[DiskOp]) -> Vec<u64> {
-    let mut blocks: Vec<u64> = ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
-        .collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks
-}
-
-/// The differential flash-card sweep: a fresh card (and shadow) per crash
-/// point, full replay to the boundary, crash, recovery, verification,
-/// then replay of the remainder with a final consistency check.
-pub fn torture_flash_card(
+/// An empty report for a sweep of the first `n` of `trace`'s ops.
+fn empty_report(
     config: &SystemConfig,
+    device: &'static str,
     trace: &Trace,
-    opts: &TortureOptions,
+    n: usize,
 ) -> TortureReport {
-    let BackendConfig::FlashCard {
-        params,
-        capacity_bytes,
-        mode,
-        victim_policy,
-        ..
-    } = &config.backend
-    else {
-        panic!("torture_flash_card needs a flash-card configuration");
-    };
-    let card_config = FlashCardConfig {
-        params: params.clone(),
-        block_size: trace.block_size,
-        capacity_bytes: *capacity_bytes,
-        mode: *mode,
-        victim_policy: *victim_policy,
-        queueing: config.queueing,
-    };
-
-    let n = trace.ops.len().min(opts.max_ops);
-    let ops = &trace.ops[..n];
-    let working = working_set(ops);
-    let mut report = TortureReport {
+    TortureReport {
         name: config.name.clone(),
-        device: "flash card",
+        device,
         crashes: 0,
         mid_op_crashes: 0,
         mid_cleaning_crashes: 0,
@@ -250,627 +285,428 @@ pub fn torture_flash_card(
         truncated_ops: (trace.ops.len() - n) as u64,
         uncorrectable_blocks: 0,
         violations: Vec::new(),
-    };
+    }
+}
+
+/// What the stateful sweep needs from a block-mapped device beyond
+/// [`Device`]: an untimed preload, the recovered mapping, a sabotage hook,
+/// and the device's own post-recovery checks.
+trait Tortured: Device {
+    /// The device's label in the report.
+    const NAME: &'static str;
+    /// State captured just before a crash for the post-recovery checks.
+    type Before;
+    /// Marks `lbns` acknowledged without timing, stamping generations in
+    /// order (the shadow stamps the same way).
+    fn preload_working(&mut self, lbns: &[u64]);
+    /// The pre-crash state, and whether background work (cleaning,
+    /// rebuild) was in flight when the crash struck.
+    fn before_crash(&self) -> (Self::Before, bool);
+    /// Test-only: silently damages `lbn` after recovery.
+    fn sabotage(&mut self, lbn: u64);
+    /// The recovered `(lbn, generation)` mapping, sorted by block.
+    fn mapping(&self) -> Vec<(u64, u64)>;
+    /// The generation the next acknowledged write receives.
+    fn generation(&self) -> u64;
+    /// Device-specific checks after a recovery.
+    fn check_recovered(
+        &self,
+        before: &Self::Before,
+        shadow: &ShadowModel,
+        mid_op: bool,
+        reported: &BTreeSet<u64>,
+        ctx: &str,
+        violations: &mut Vec<String>,
+    );
+    /// Device-specific checks after draining the trace.
+    fn check_drained(&self) {}
+}
+
+impl Tortured for FlashCardStore {
+    const NAME: &'static str = "flash card";
+    /// Retired segments and the in-flight cleaning victim.
+    type Before = (Vec<u32>, Option<u32>);
+
+    fn preload_working(&mut self, lbns: &[u64]) {
+        self.preload_aged(lbns.iter().copied());
+    }
+
+    fn before_crash(&self) -> (Self::Before, bool) {
+        let victim = self.cleaning_victim();
+        ((self.bad_segments(), victim), victim.is_some())
+    }
+
+    fn sabotage(&mut self, lbn: u64) {
+        self.sabotage_lose_block(lbn);
+    }
+
+    fn mapping(&self) -> Vec<(u64, u64)> {
+        self.snapshot()
+            .iter()
+            .map(|e| (e.lbn, e.generation))
+            .collect()
+    }
+
+    fn generation(&self) -> u64 {
+        self.next_generation()
+    }
+
+    /// Structural checks beyond per-block contents: the census partitions
+    /// capacity, the live count matches the shadow, retirement is
+    /// monotone, and cleaning is atomic.
+    fn check_recovered(
+        &self,
+        (bad_before, victim): &Self::Before,
+        shadow: &ShadowModel,
+        mid_op: bool,
+        _reported: &BTreeSet<u64>,
+        ctx: &str,
+        violations: &mut Vec<String>,
+    ) {
+        let census = self.census();
+        if census.total() != self.capacity_blocks() {
+            violations.push(format!(
+                "{ctx}: {}",
+                Violation::CensusImbalance {
+                    total: census.total(),
+                    capacity: self.capacity_blocks(),
+                }
+            ));
+        }
+        // With a write in flight the recovered live count is legitimately
+        // ambiguous (never-acked blocks may or may not have reached media),
+        // so the exact comparison applies only to boundary crashes.
+        if !mid_op && census.live != shadow.live_blocks() {
+            violations.push(format!(
+                "{ctx}: {}",
+                Violation::LiveCountMismatch {
+                    device: census.live,
+                    shadow: shadow.live_blocks(),
+                }
+            ));
+        }
+        let bad_after = self.bad_segments();
+        for &seg in bad_before {
+            if !bad_after.contains(&seg) {
+                violations.push(format!(
+                    "{ctx}: {}",
+                    Violation::RetirementRegressed { segment: seg }
+                ));
+            }
+        }
+        // Copy-before-erase: recovery completes an interrupted cleaning
+        // pass, so no block may still map into the victim segment.
+        if let Some(victim) = *victim {
+            let still = self
+                .snapshot()
+                .iter()
+                .filter(|e| e.segment == victim)
+                .count() as u64;
+            if still > 0 {
+                violations.push(format!(
+                    "{ctx}: {}",
+                    Violation::CleaningNotAtomic {
+                        victim,
+                        still_in_victim: still,
+                    }
+                ));
+            }
+        }
+    }
+
+    fn check_drained(&self) {
+        self.check_invariants();
+    }
+}
+
+impl Tortured for ArrayDevice {
+    const NAME: &'static str = "ec-array";
+    type Before = ();
+
+    fn preload_working(&mut self, lbns: &[u64]) {
+        self.preload(lbns.iter().copied());
+    }
+
+    fn before_crash(&self) -> ((), bool) {
+        ((), self.lost_children() > 0)
+    }
+
+    fn sabotage(&mut self, lbn: u64) {
+        self.sabotage_corrupt(lbn);
+    }
+
+    fn mapping(&self) -> Vec<(u64, u64)> {
+        self.snapshot()
+    }
+
+    fn generation(&self) -> u64 {
+        self.next_generation()
+    }
+
+    /// With at most `m` losses the array must not fail, and any
+    /// unreadable block that was never reported is silent loss.
+    fn check_recovered(
+        &self,
+        _before: &(),
+        _shadow: &ShadowModel,
+        _mid_op: bool,
+        reported: &BTreeSet<u64>,
+        ctx: &str,
+        violations: &mut Vec<String>,
+    ) {
+        if self.is_failed() {
+            violations.push(format!(
+                "{ctx}: array failed under {} tolerated deaths",
+                self.parity_shards()
+            ));
+        }
+        for lbn in self.unreadable_blocks() {
+            if !reported.contains(&lbn) {
+                violations.push(format!("{ctx}: block {lbn} unreadable but never reported"));
+            }
+        }
+    }
+}
+
+/// The differential sweep for block-mapped devices (flash card, array): a
+/// fresh device (and shadow) per crash point from `make`, full replay to
+/// the boundary, crash, recovery, verification, then replay of the
+/// remainder with a final consistency check. After every crash and at the
+/// end of every drain the recovered `(lbn, generation)` mapping must
+/// verify against the shadow, with only *reported* losses excused.
+fn stateful_sweep<D: Tortured>(
+    config: &SystemConfig,
+    trace: &Trace,
+    opts: &TortureOptions,
+    make: impl Fn(&[u64]) -> Result<D, String>,
+) -> TortureReport {
+    let n = trace.ops.len().min(opts.max_ops);
+    let ops = &trace.ops[..n];
+    let working = working_set(ops);
+    let mut report = empty_report(config, D::NAME, trace, n);
+    let block_size = trace.block_size;
 
     for k in select_points(n, opts.crash_points) {
         let mut rng = SimRng::seed_with_stream(opts.seed, k as u64);
-        let mut obs = UncorrectableCollector::default();
-        let mut reported: BTreeSet<u64> = BTreeSet::new();
-        let mut card = match FlashCardStore::try_new(card_config.clone()) {
-            Ok(card) => card
-                .with_faults(config.fault)
-                .with_integrity(config.integrity),
+        let mut dev = match make(&working) {
+            Ok(dev) => dev,
             Err(e) => {
-                report.violations.push(format!("cannot build card: {e}"));
+                report.violations.push(e);
                 return report;
             }
         };
-        let mut shadow = ShadowModel::new();
-        if working.len() as u64 > card.capacity_blocks() {
-            report.violations.push(format!(
-                "working set ({} blocks) exceeds card capacity ({} blocks)",
-                working.len(),
-                card.capacity_blocks()
-            ));
-            return report;
-        }
-        // Mirror the aged preload: the card stamps generations in
-        // iteration order, and so does the shadow.
-        card.preload_aged(working.iter().copied());
+        let mut sweep = Sweep {
+            shadow: ShadowModel::new(),
+            obs: UncorrectableCollector::default(),
+            reported: BTreeSet::new(),
+            report: &mut report,
+            block_size,
+            crash_point: k,
+        };
+        dev.preload_working(&working);
         for &lbn in &working {
-            shadow.write(lbn, 1);
+            sweep.shadow.write(lbn, 1);
         }
 
         // Replay everything before the crash point, fully acknowledged.
-        let mut aborted = false;
-        for op in &ops[..k] {
-            if !replay_card_op(
-                &mut card,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k,
-            ) {
-                aborted = true;
-                break;
-            }
-            report.ops_replayed += 1;
-        }
-        if aborted {
+        if !sweep.replay(&mut dev, &ops[..k]) {
             continue;
         }
 
         // Crash: torn mid-write on odd boundaries (only a prefix of the
         // op's blocks reaches media), otherwise jittered into the
-        // preceding inter-op gap — which lands some crashes mid-cleaning
-        // and mid-erase, since settle truncates the background job.
+        // preceding inter-op gap — which lands some crashes mid-cleaning,
+        // mid-erase, and mid-rebuild, since settle truncates the
+        // background work at the crash instant.
         let mid_op = k % 2 == 1 && ops[k].kind == DiskOpKind::Write;
         let crash_at = if mid_op {
             let op = &ops[k];
-            shadow.begin_write(op.lbn, op.blocks);
+            sweep.shadow.begin_write(op.lbn, op.blocks);
             let prefix = op.blocks / 2;
             if prefix > 0 {
-                let torn = card.try_write_obs(op.time, op.lbn, prefix, &mut obs);
-                drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
+                let req = Request::new(Dir::Write, op.lbn, prefix, block_size);
+                let (_, torn) = dev.submit(op.time, req, &mut sweep.obs);
+                sweep.drain();
                 if let Err(e) = torn {
-                    report
+                    sweep
+                        .report
                         .violations
                         .push(format!("crash point {k}: unexpected write failure: {e}"));
                     continue;
                 }
             }
-            report.mid_op_crashes += 1;
+            sweep.report.mid_op_crashes += 1;
             op.time + SimDuration::from_nanos(1 + rng.below(1_000_000))
         } else {
             boundary_crash_instant(ops, k, &mut rng)
         };
 
-        let bad_before = card.bad_segments();
-        let victim = card.cleaning_victim();
-        if victim.is_some() {
-            report.mid_cleaning_crashes += 1;
+        let (before, busy) = dev.before_crash();
+        if busy {
+            sweep.report.mid_cleaning_crashes += 1;
         }
-        report.crashes += 1;
-        card.power_fail_obs(crash_at, &mut obs);
-        drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
-        report.recoveries += 1;
+        sweep.report.crashes += 1;
+        dev.power_fail(crash_at, &mut sweep.obs);
+        sweep.drain();
+        sweep.report.recoveries += 1;
         if let Some(lbn) = opts.sabotage_lbn {
-            card.sabotage_lose_block(lbn);
+            dev.sabotage(lbn);
         }
 
         // Verify the recovered state against the shadow and the device's
-        // structural invariants.
-        let snap: Vec<(u64, u64)> = card
-            .snapshot()
-            .iter()
-            .map(|e| (e.lbn, e.generation))
-            .collect();
+        // own checks.
+        let snap = dev.mapping();
         let ctx = format!(
             "crash point {k}{} at t={:.6}s",
             if mid_op { " (mid-op)" } else { "" },
             crash_at.as_secs_f64()
         );
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
-        }
-        check_card_structure(
-            &card,
-            &shadow,
+        sweep.verify(&snap, &ctx);
+        dev.check_recovered(
+            &before,
+            &sweep.shadow,
             mid_op,
-            &bad_before,
-            victim,
+            &sweep.reported,
             &ctx,
-            &mut report.violations,
+            &mut sweep.report.violations,
         );
 
         // Resolve the torn write from what actually survived, re-align
         // the generation counters, and drain the rest of the trace.
-        shadow.observe_recovery(&snap);
-        shadow.resync_generations(card.next_generation());
+        sweep.shadow.observe_recovery(&snap);
+        sweep.shadow.resync_generations(dev.generation());
         let resume = k + usize::from(mid_op);
-        let mut aborted = false;
-        for op in &ops[resume..] {
-            if !replay_card_op(
-                &mut card,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k,
-            ) {
-                aborted = true;
-                break;
-            }
-            report.ops_replayed += 1;
-        }
-        if aborted {
+        if !sweep.replay(&mut dev, &ops[resume..]) {
             continue;
         }
-
-        let snap: Vec<(u64, u64)> = card
-            .snapshot()
-            .iter()
-            .map(|e| (e.lbn, e.generation))
-            .collect();
-        let ctx = format!("crash point {k}, after draining the trace");
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
-        }
-        card.check_invariants();
-    }
-    report
-}
-
-/// Replays one fully-acknowledged op against card and shadow, mirroring
-/// any uncorrectable blocks the card reports along the way (scrub passes
-/// and read-path drops surface through `obs`). Returns false (after
-/// recording a violation) if the device refused the write.
-fn replay_card_op(
-    card: &mut FlashCardStore,
-    shadow: &mut ShadowModel,
-    obs: &mut UncorrectableCollector,
-    reported: &mut BTreeSet<u64>,
-    op: &DiskOp,
-    report: &mut TortureReport,
-    crash_point: usize,
-) -> bool {
-    match op.kind {
-        DiskOpKind::Read => {
-            // An uncorrectable result is a *reported* loss: legal, and
-            // already mirrored into the shadow by the drain below.
-            let _ = card.try_read_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
-        }
-        DiskOpKind::Write => {
-            shadow.begin_write(op.lbn, op.blocks);
-            let res = card.try_write_obs(op.time, op.lbn, op.blocks, obs);
-            // Scrubbing during the write's settle may have dropped old
-            // copies; apply those before acknowledging the new write.
-            drain_reported(obs, shadow, reported, report);
-            match res {
-                Ok(_) => shadow.ack_write(),
-                Err(e @ DeviceError::ReadOnly { .. }) => {
-                    report.violations.push(format!(
-                        "crash point {crash_point}: card refused a write during replay: {e}"
-                    ));
-                    return false;
-                }
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("crash point {crash_point}: write failed: {e}"));
-                    return false;
-                }
-            }
-        }
-        DiskOpKind::Trim => {
-            card.trim_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
-            shadow.trim(op.lbn, op.blocks);
-        }
-    }
-    true
-}
-
-/// Structural post-recovery checks that go beyond per-block contents.
-fn check_card_structure(
-    card: &FlashCardStore,
-    shadow: &ShadowModel,
-    mid_op: bool,
-    bad_before: &[u32],
-    victim: Option<u32>,
-    ctx: &str,
-    violations: &mut Vec<String>,
-) {
-    let census = card.census();
-    if census.total() != card.capacity_blocks() {
-        violations.push(format!(
-            "{ctx}: {}",
-            Violation::CensusImbalance {
-                total: census.total(),
-                capacity: card.capacity_blocks(),
-            }
-        ));
-    }
-    // With a write in flight the recovered live count is legitimately
-    // ambiguous (never-acked blocks may or may not have reached media),
-    // so the exact comparison applies only to boundary crashes.
-    if !mid_op && census.live != shadow.live_blocks() {
-        violations.push(format!(
-            "{ctx}: {}",
-            Violation::LiveCountMismatch {
-                device: census.live,
-                shadow: shadow.live_blocks(),
-            }
-        ));
-    }
-    let bad_after = card.bad_segments();
-    for &seg in bad_before {
-        if !bad_after.contains(&seg) {
-            violations.push(format!(
-                "{ctx}: {}",
-                Violation::RetirementRegressed { segment: seg }
-            ));
-        }
-    }
-    // Copy-before-erase: recovery completes an interrupted cleaning pass,
-    // so no block may still map into the victim segment.
-    if let Some(victim) = victim {
-        let still = card
-            .snapshot()
-            .iter()
-            .filter(|e| e.segment == victim)
-            .count() as u64;
-        if still > 0 {
-            violations.push(format!(
-                "{ctx}: {}",
-                Violation::CleaningNotAtomic {
-                    victim,
-                    still_in_victim: still,
-                }
-            ));
-        }
-    }
-}
-
-/// The differential erasure-coded-array sweep: a fresh array (and shadow)
-/// per crash point, with exactly `m` permanent child deaths injected on a
-/// fixed schedule spread across the replayed window. The oracle's core
-/// claim is that no tolerated loss pattern can lose acknowledged data:
-/// after every crash and at the end of every drain, the decoded
-/// `(lbn, generation)` mapping must verify against the shadow, with only
-/// *reported* losses excused — a sabotaged survivor shard is still a
-/// violation.
-pub fn torture_array(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
-    let BackendConfig::Array {
-        k,
-        m,
-        children,
-        spares,
-        rebuild_rate,
-    } = &config.backend
-    else {
-        panic!("torture_array needs an ec-array configuration");
-    };
-
-    let n = trace.ops.len().min(opts.max_ops);
-    let ops = &trace.ops[..n];
-    let working = working_set(ops);
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        device: "ec-array",
-        crashes: 0,
-        mid_op_crashes: 0,
-        mid_cleaning_crashes: 0,
-        recoveries: 0,
-        ops_replayed: 0,
-        truncated_ops: (trace.ops.len() - n) as u64,
-        uncorrectable_blocks: 0,
-        violations: Vec::new(),
-    };
-
-    // Exactly `m` children die, spread across both the child set and the
-    // replayed window — the worst loss pattern the geometry claims to
-    // tolerate.
-    let span_ns = ops
-        .last()
-        .map_or(0, |op| op.time.saturating_since(SimTime::ZERO).as_nanos());
-    let mut deaths: Vec<Option<SimTime>> = vec![None; children.len()];
-    for d in 0..*m {
-        let child = d * children.len() / *m;
-        let at = span_ns * (d as u64 + 1) / (*m as u64 + 1);
-        deaths[child] = Some(SimTime::from_nanos(at));
-    }
-
-    for k_point in select_points(n, opts.crash_points) {
-        let mut rng = SimRng::seed_with_stream(opts.seed, k_point as u64);
-        let mut obs = UncorrectableCollector::default();
-        let mut reported: BTreeSet<u64> = BTreeSet::new();
-        let mut arr = ArrayDevice::new(*k, *m, children, trace.block_size)
-            .with_queueing(config.queueing)
-            .with_deaths(DeathSchedule::explicit(deaths.clone()))
-            .with_spares(*spares)
-            .with_rebuild_rate(*rebuild_rate);
-        let mut shadow = ShadowModel::new();
-        // Mirror the preload: the array stamps generations in iteration
-        // order, and so does the shadow.
-        arr.preload(working.iter().copied());
-        for &lbn in &working {
-            shadow.write(lbn, 1);
-        }
-
-        // Replay everything before the crash point, fully acknowledged.
-        let mut aborted = false;
-        for op in &ops[..k_point] {
-            if !replay_array_op(
-                &mut arr,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k_point,
-            ) {
-                aborted = true;
-                break;
-            }
-            report.ops_replayed += 1;
-        }
-        if aborted {
-            continue;
-        }
-
-        // Crash: torn mid-write on odd boundaries (only a prefix of the
-        // op's blocks reaches the stripes), otherwise jittered into the
-        // preceding inter-op gap — which lands some crashes mid-rebuild,
-        // since settle paces the background reconstruction.
-        let mid_op = k_point % 2 == 1 && ops[k_point].kind == DiskOpKind::Write;
-        let crash_at = if mid_op {
-            let op = &ops[k_point];
-            shadow.begin_write(op.lbn, op.blocks);
-            let prefix = op.blocks / 2;
-            if prefix > 0 {
-                let torn = arr.try_write_obs(op.time, op.lbn, prefix, &mut obs);
-                drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
-                if let Err(e) = torn {
-                    report.violations.push(format!(
-                        "crash point {k_point}: unexpected write failure: {e}"
-                    ));
-                    continue;
-                }
-            }
-            report.mid_op_crashes += 1;
-            op.time + SimDuration::from_nanos(1 + rng.below(1_000_000))
-        } else {
-            boundary_crash_instant(ops, k_point, &mut rng)
-        };
-
-        if arr.lost_children() > 0 {
-            report.mid_cleaning_crashes += 1;
-        }
-        report.crashes += 1;
-        arr.power_fail_obs(crash_at, &mut obs);
-        drain_reported(&mut obs, &mut shadow, &mut reported, &mut report);
-        report.recoveries += 1;
-        if let Some(lbn) = opts.sabotage_lbn {
-            arr.sabotage_corrupt(lbn);
-        }
-
-        // Verify the recovered state against the shadow: with at most `m`
-        // losses every acked block must decode, so any unreadable block
-        // that was never reported is silent loss.
-        let ctx = format!(
-            "crash point {k_point}{} at t={:.6}s",
-            if mid_op { " (mid-op)" } else { "" },
-            crash_at.as_secs_f64()
+        sweep.verify(
+            &dev.mapping(),
+            &format!("crash point {k}, after draining the trace"),
         );
-        if arr.is_failed() {
-            report
-                .violations
-                .push(format!("{ctx}: array failed under {} tolerated deaths", m));
-        }
-        for lbn in arr.unreadable_blocks() {
-            if !reported.contains(&lbn) {
-                report
-                    .violations
-                    .push(format!("{ctx}: block {lbn} unreadable but never reported"));
-            }
-        }
-        let snap = arr.snapshot();
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
-        }
-
-        // Resolve the torn write from what actually survived, re-align
-        // the generation counters, and drain the rest of the trace.
-        shadow.observe_recovery(&snap);
-        shadow.resync_generations(arr.next_generation());
-        let resume = k_point + usize::from(mid_op);
-        let mut aborted = false;
-        for op in &ops[resume..] {
-            if !replay_array_op(
-                &mut arr,
-                &mut shadow,
-                &mut obs,
-                &mut reported,
-                op,
-                &mut report,
-                k_point,
-            ) {
-                aborted = true;
-                break;
-            }
-            report.ops_replayed += 1;
-        }
-        if aborted {
-            continue;
-        }
-
-        let snap = arr.snapshot();
-        let ctx = format!("crash point {k_point}, after draining the trace");
-        for v in shadow.verify_with_uncorrectable(&snap, &reported) {
-            report.violations.push(format!("{ctx}: {v}"));
-        }
+        dev.check_drained();
     }
     report
 }
 
-/// Replays one fully-acknowledged op against array and shadow, mirroring
-/// any blocks the array reports unreconstructable along the way. Returns
-/// false (after recording a violation) if the array refused the write —
-/// with at most `m` tolerated deaths a write must never fail.
-fn replay_array_op(
-    arr: &mut ArrayDevice,
-    shadow: &mut ShadowModel,
-    obs: &mut UncorrectableCollector,
-    reported: &mut BTreeSet<u64>,
-    op: &DiskOp,
-    report: &mut TortureReport,
+/// One crash point's replay state: the shadow, the reported losses, and
+/// the sweep's report.
+struct Sweep<'a> {
+    shadow: ShadowModel,
+    obs: UncorrectableCollector,
+    /// Blocks the device reported uncorrectable: the verifier's excused
+    /// set.
+    reported: BTreeSet<u64>,
+    report: &'a mut TortureReport,
+    block_size: u64,
     crash_point: usize,
-) -> bool {
-    match op.kind {
-        DiskOpKind::Read => {
-            // A reported reconstruction failure is a *reported* loss:
-            // legal, and mirrored into the shadow by the drain below.
-            let _ = arr.try_read_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
+}
+
+impl Sweep<'_> {
+    /// Applies every freshly reported uncorrectable block to the shadow
+    /// (the host was told the data is gone, so its absence is now
+    /// expected) and to the excused set.
+    fn drain(&mut self) {
+        for lbn in self.obs.fresh.drain(..) {
+            if self.reported.insert(lbn) {
+                self.report.uncorrectable_blocks += 1;
+            }
+            self.shadow.trim(lbn, 1);
         }
-        DiskOpKind::Write => {
-            shadow.begin_write(op.lbn, op.blocks);
-            let res = arr.try_write_obs(op.time, op.lbn, op.blocks, obs);
-            drain_reported(obs, shadow, reported, report);
-            match res {
-                Ok(_) => shadow.ack_write(),
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("crash point {crash_point}: write failed: {e}"));
-                    return false;
+    }
+
+    /// Checks a recovered mapping against the shadow.
+    fn verify(&mut self, snap: &[(u64, u64)], ctx: &str) {
+        for v in self.shadow.verify_with_uncorrectable(snap, &self.reported) {
+            self.report.violations.push(format!("{ctx}: {v}"));
+        }
+    }
+
+    /// Replays fully-acknowledged ops against device and shadow, mirroring
+    /// any blocks the device reports lost along the way (scrub passes and
+    /// read-path drops surface through the collector). Returns false
+    /// (after recording a violation) if the device refused a write.
+    fn replay<D: Device>(&mut self, dev: &mut D, ops: &[DiskOp]) -> bool {
+        for op in ops {
+            match op.kind {
+                DiskOpKind::Read => {
+                    // A reported loss is legal, and mirrored into the
+                    // shadow by the drain.
+                    let req = Request::new(Dir::Read, op.lbn, op.blocks, self.block_size);
+                    let _ = dev.submit(op.time, req, &mut self.obs);
+                    self.drain();
+                }
+                DiskOpKind::Write => {
+                    self.shadow.begin_write(op.lbn, op.blocks);
+                    let req = Request::new(Dir::Write, op.lbn, op.blocks, self.block_size);
+                    let (_, res) = dev.submit(op.time, req, &mut self.obs);
+                    // Background work during the write's settle may have
+                    // dropped old copies; apply those before acknowledging
+                    // the new write.
+                    self.drain();
+                    if let Err(e) = res {
+                        self.report.violations.push(format!(
+                            "crash point {}: write failed: {e}",
+                            self.crash_point
+                        ));
+                        return false;
+                    }
+                    self.shadow.ack_write();
+                }
+                DiskOpKind::Trim => {
+                    dev.trim(op.time, op.lbn, op.blocks, &mut self.obs);
+                    self.drain();
+                    self.shadow.trim(op.lbn, op.blocks);
                 }
             }
+            self.report.ops_replayed += 1;
         }
-        DiskOpKind::Trim => {
-            arr.trim(op.lbn, op.blocks);
-            shadow.trim(op.lbn, op.blocks);
-        }
+        true
     }
-    true
 }
 
-/// The magnetic-disk sweep: one pass over the trace, crashing before each
-/// selected op; the disk recovers behind its controller (spin-up plus
-/// synchronous-FAT replay), so the checks are on the accounting story.
-pub fn torture_disk(config: &SystemConfig, trace: &Trace, opts: &TortureOptions) -> TortureReport {
-    let BackendConfig::Disk {
-        params,
-        spin_down,
-        seek_model,
-    } = &config.backend
-    else {
-        panic!("torture_disk needs a magnetic-disk configuration");
-    };
-    let mut disk = MagneticDisk::with_policy(params.clone(), *spin_down)
-        .with_queueing(config.queueing)
-        .with_seek_model(*seek_model);
-
-    let n = trace.ops.len().min(opts.max_ops);
-    let ops = &trace.ops[..n];
-    let points: BTreeSet<usize> = select_points(n, opts.crash_points).into_iter().collect();
-    let fat_bytes = config.fault.fat_scan_bytes;
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        device: "magnetic disk",
-        crashes: 0,
-        mid_op_crashes: 0,
-        mid_cleaning_crashes: 0,
-        recoveries: 0,
-        ops_replayed: 0,
-        truncated_ops: (trace.ops.len() - n) as u64,
-        uncorrectable_blocks: 0,
-        violations: Vec::new(),
-    };
-
-    let mut obs = NoopObserver;
-    for (i, op) in ops.iter().enumerate() {
-        if points.contains(&i) {
-            let mut rng = SimRng::seed_with_stream(opts.seed, i as u64);
-            let at = boundary_crash_instant(ops, i, &mut rng);
-            let before = disk.counters();
-            let svc = disk.power_fail_obs(at, fat_bytes, &mut obs);
-            report.crashes += 1;
-            report.recoveries += 1;
-            let after = disk.counters();
-            if after.power_failures != before.power_failures + 1 {
-                report
-                    .violations
-                    .push(format!("crash {i}: power failure not counted"));
-            }
-            if after.recovery_time < before.recovery_time {
-                report
-                    .violations
-                    .push(format!("crash {i}: recovery time went backwards"));
-            }
-            if fat_bytes > 0 && after.recovery_time == before.recovery_time {
-                report
-                    .violations
-                    .push(format!("crash {i}: FAT replay charged no recovery time"));
-            }
-            if svc.end < at {
-                report
-                    .violations
-                    .push(format!("crash {i}: recovery ended before the crash"));
-            }
-        }
-        let dir = match op.kind {
-            DiskOpKind::Read => Dir::Read,
-            DiskOpKind::Write => Dir::Write,
-            DiskOpKind::Trim => {
-                report.ops_replayed += 1;
-                continue;
-            }
-        };
-        let bytes = op.bytes(trace.block_size);
-        let svc = disk.access_at_obs(op.time, dir, bytes, Some(op.file.0), Some(op.lbn), &mut obs);
-        if svc.end < op.time {
-            report
-                .violations
-                .push(format!("op {i}: service ended before issue"));
-        }
-        report.ops_replayed += 1;
-    }
-    report
-}
-
-/// The flash-disk sweep: the controller rescans its spare-pool remap
-/// headers on recovery; the checks mirror [`torture_disk`]'s.
-pub fn torture_flash_disk(
+/// The sweep for devices that recover behind their controllers (magnetic
+/// disk: spin-up plus synchronous-FAT replay; flash disk: spare-pool
+/// remap-header rescan): one pass over the trace, crashing before each
+/// selected op, checking the accounting story. `recovery` reads the
+/// device's (power failures, recovery time) counters; `scan` names the
+/// recovery scan when it must charge time.
+fn accounting_sweep<D: Device>(
     config: &SystemConfig,
     trace: &Trace,
     opts: &TortureOptions,
+    device: &'static str,
+    mut dev: D,
+    recovery: impl Fn(&D) -> (u64, SimDuration),
+    scan: Option<&str>,
 ) -> TortureReport {
-    let BackendConfig::FlashDisk { params } = &config.backend else {
-        panic!("torture_flash_disk needs a flash-disk configuration");
-    };
-    let mut fd = FlashDisk::new(params.clone()).with_queueing(config.queueing);
-
     let n = trace.ops.len().min(opts.max_ops);
     let ops = &trace.ops[..n];
     let points: BTreeSet<usize> = select_points(n, opts.crash_points).into_iter().collect();
-    let mut report = TortureReport {
-        name: config.name.clone(),
-        device: "flash disk",
-        crashes: 0,
-        mid_op_crashes: 0,
-        mid_cleaning_crashes: 0,
-        recoveries: 0,
-        ops_replayed: 0,
-        truncated_ops: (trace.ops.len() - n) as u64,
-        uncorrectable_blocks: 0,
-        violations: Vec::new(),
-    };
+    let mut report = empty_report(config, device, trace, n);
 
     let mut obs = NoopObserver;
     for (i, op) in ops.iter().enumerate() {
         if points.contains(&i) {
             let mut rng = SimRng::seed_with_stream(opts.seed, i as u64);
             let at = boundary_crash_instant(ops, i, &mut rng);
-            let before = fd.counters();
-            let svc = fd.power_fail_obs(at, &mut obs);
+            let (failures, time) = recovery(&dev);
+            let svc = dev.power_fail(at, &mut obs);
             report.crashes += 1;
             report.recoveries += 1;
-            let after = fd.counters();
-            if after.power_failures != before.power_failures + 1 {
+            let (failures_after, time_after) = recovery(&dev);
+            if failures_after != failures + 1 {
                 report
                     .violations
                     .push(format!("crash {i}: power failure not counted"));
             }
-            if after.recovery_time <= before.recovery_time {
+            if time_after < time {
                 report
                     .violations
-                    .push(format!("crash {i}: remap rescan charged no recovery time"));
+                    .push(format!("crash {i}: recovery time went backwards"));
+            } else if let Some(scan) = scan.filter(|_| time_after == time) {
+                report
+                    .violations
+                    .push(format!("crash {i}: {scan} charged no recovery time"));
             }
             if svc.end <= at {
                 report
@@ -886,8 +722,8 @@ pub fn torture_flash_disk(
                 continue;
             }
         };
-        let bytes = op.bytes(trace.block_size);
-        let svc = fd.access_obs(op.time, dir, bytes, &mut obs);
+        let req = Request::new(dir, op.lbn, op.blocks, trace.block_size).with_file(op.file.0);
+        let (svc, _) = dev.submit(op.time, req, &mut obs);
         if svc.end < op.time {
             report
                 .violations
@@ -942,7 +778,7 @@ mod tests {
             crash_points: CrashPoints::Exhaustive,
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&card_config(), &trace, &opts);
+        let report = torture(&card_config(), &trace, &opts);
         assert!(
             report.passed(),
             "violations: {:#?}",
@@ -969,7 +805,7 @@ mod tests {
             sabotage_lbn: Some(2),
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&card_config(), &trace, &opts);
+        let report = torture(&card_config(), &trace, &opts);
         assert!(!report.passed(), "sabotage went undetected");
         assert!(
             report.violations.iter().any(|v| v.contains("lost write")),
@@ -997,7 +833,7 @@ mod tests {
             crash_points: CrashPoints::Sampled(12),
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&config, &trace, &opts);
+        let report = torture(&config, &trace, &opts);
         assert!(
             report.passed(),
             "violations: {:#?}",
@@ -1027,7 +863,7 @@ mod tests {
             sabotage_lbn: Some(2),
             ..TortureOptions::default()
         };
-        let report = torture_flash_card(&config, &trace, &opts);
+        let report = torture(&config, &trace, &opts);
         assert!(
             !report.passed(),
             "sabotage went undetected with integrity enabled"
@@ -1089,7 +925,7 @@ mod tests {
             sabotage_lbn: Some(2),
             ..TortureOptions::default()
         };
-        let report = torture_array(&array_config(), &trace, &opts);
+        let report = torture(&array_config(), &trace, &opts);
         assert!(!report.passed(), "sabotage went undetected");
     }
 
@@ -1101,8 +937,8 @@ mod tests {
             crash_points: CrashPoints::Sampled(6),
             ..TortureOptions::default()
         };
-        let a = torture_array(&array_config(), &trace, &opts);
-        let b = torture_array(&array_config(), &trace, &opts);
+        let a = torture(&array_config(), &trace, &opts);
+        let b = torture(&array_config(), &trace, &opts);
         assert_eq!(a.ops_replayed, b.ops_replayed);
         assert_eq!(a.mid_op_crashes, b.mid_op_crashes);
         assert_eq!(a.uncorrectable_blocks, b.uncorrectable_blocks);

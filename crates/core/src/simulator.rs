@@ -18,7 +18,7 @@ use mobistore_cache::sram::SramWriteBuffer;
 use mobistore_device::array::ArrayDevice;
 use mobistore_device::disk::MagneticDisk;
 use mobistore_device::flashdisk::FlashDisk;
-use mobistore_device::{Dir, Service};
+use mobistore_device::{Device, DeviceError, Dir, Request, Service};
 use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
 use mobistore_sim::fault::{DeathSchedule, PowerFailSchedule};
 use mobistore_sim::hist::LatencyRecorder;
@@ -56,6 +56,51 @@ enum Backend {
     FlashDisk(FlashDisk),
     FlashCard(FlashCardStore),
     Array(ArrayDevice),
+}
+
+/// Applies `$call` to whichever device `$backend` holds, bound as `$d`.
+macro_rules! delegate {
+    ($backend:expr, $d:ident => $call:expr) => {
+        match $backend {
+            Backend::Disk($d) => $call,
+            Backend::FlashDisk($d) => $call,
+            Backend::FlashCard($d) => $call,
+            Backend::Array($d) => $call,
+        }
+    };
+}
+
+/// The simulator's one runtime switch over storage alternatives: every
+/// method delegates to the configured device.
+impl Device for Backend {
+    fn submit<O: Observer>(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        obs: &mut O,
+    ) -> (Service, Result<(), DeviceError>) {
+        delegate!(self, d => d.submit(now, req, obs))
+    }
+
+    fn trim<O: Observer>(&mut self, now: SimTime, lbn: u64, blocks: u32, obs: &mut O) {
+        delegate!(self, d => d.trim(now, lbn, blocks, obs))
+    }
+
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
+        delegate!(self, d => d.power_fail(now, obs))
+    }
+
+    fn settle_to<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        delegate!(self, d => d.settle_to(end, obs))
+    }
+
+    fn clear_metrics(&mut self, reset_wear: bool) {
+        delegate!(self, d => d.clear_metrics(reset_wear))
+    }
+
+    fn maps_blocks(&self) -> bool {
+        delegate!(self, d => d.maps_blocks())
+    }
 }
 
 /// Runs `trace` against `config` with default options (10% warm-up).
@@ -133,6 +178,15 @@ pub enum ConfigError {
     },
     /// `warm_percent` was 100 or more: nothing would be measured.
     NothingToMeasure,
+    /// A trace operation's block range ends past `u64::MAX`.
+    BlockRangeOverflow {
+        /// Index of the operation in the trace.
+        op: usize,
+        /// Its first block.
+        lbn: u64,
+        /// Its block count.
+        blocks: u32,
+    },
     /// A fleet checkpoint could not be used for this run: unreadable,
     /// malformed, or fingerprint-mismatched against the configuration.
     Checkpoint(String),
@@ -156,6 +210,10 @@ impl std::fmt::Display for ConfigError {
                     "warm-up must leave something to measure (warm_percent < 100)"
                 )
             }
+            ConfigError::BlockRangeOverflow { op, lbn, blocks } => write!(
+                f,
+                "trace op {op}: block range lbn {lbn} + {blocks} blocks overflows"
+            ),
             ConfigError::Checkpoint(reason) => write!(f, "checkpoint: {reason}"),
         }
     }
@@ -268,6 +326,20 @@ pub fn try_simulate_observed<O: Observer>(
     if options.warm_percent >= 100 {
         return Err(ConfigError::NothingToMeasure.into());
     }
+    // Traces built in code bypass the text parser's range check.
+    if let Some((op, o)) = trace
+        .ops
+        .iter()
+        .enumerate()
+        .find(|(_, o)| o.lbn.checked_add(u64::from(o.blocks)).is_none())
+    {
+        return Err(ConfigError::BlockRangeOverflow {
+            op,
+            lbn: o.lbn,
+            blocks: o.blocks,
+        }
+        .into());
+    }
     if let BackendConfig::FlashCard {
         params,
         capacity_bytes,
@@ -278,7 +350,7 @@ pub fn try_simulate_observed<O: Observer>(
         let capacity_blocks =
             (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
         let target = (capacity_blocks as f64 * frac).round() as u64;
-        let working = working_set(trace);
+        let working = working_set(&trace.ops).len() as u64;
         if working > target {
             return Err(ConfigError::FlashOverfull {
                 working_set_blocks: working,
@@ -290,17 +362,16 @@ pub fn try_simulate_observed<O: Observer>(
     Ok(Simulator::new(config, trace, obs).run(trace, options))
 }
 
-/// Counts distinct non-trim blocks in the trace.
-fn working_set(trace: &Trace) -> u64 {
-    let mut blocks: Vec<u64> = trace
-        .ops
+/// The distinct non-trim blocks `ops` touch, sorted.
+pub(crate) fn working_set(ops: &[DiskOp]) -> Vec<u64> {
+    let mut blocks: Vec<u64> = ops
         .iter()
         .filter(|op| op.kind != DiskOpKind::Trim)
         .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
         .collect();
     blocks.sort_unstable();
     blocks.dedup();
-    blocks.len() as u64
+    blocks
 }
 
 struct Simulator<'o, O: Observer> {
@@ -317,8 +388,6 @@ struct Simulator<'o, O: Observer> {
     /// Pending power-failure instants (fault injection); `None` when the
     /// configuration disables them.
     power_fails: Option<PowerFailSchedule>,
-    /// FAT metadata rescanned by the magnetic disk after a power failure.
-    fat_scan_bytes: u64,
     /// Dirty write-back blocks lost to power failures (volatile DRAM).
     lost_dirty_blocks: u64,
     /// Write operations the backend refused in read-only end-of-life
@@ -368,7 +437,8 @@ impl<'o, O: Observer> Simulator<'o, O> {
             } => {
                 let disk = MagneticDisk::with_policy(params.clone(), *spin_down)
                     .with_queueing(config.queueing)
-                    .with_seek_model(*seek_model);
+                    .with_seek_model(*seek_model)
+                    .with_fat_scan_bytes(config.fault.fat_scan_bytes);
                 Backend::Disk(disk)
             }
             BackendConfig::FlashDisk { params } => Backend::FlashDisk(
@@ -424,7 +494,6 @@ impl<'o, O: Observer> Simulator<'o, O> {
             all_ms: LatencyRecorder::new(),
             last_completion: SimTime::ZERO,
             power_fails: PowerFailSchedule::from_config(&config.fault),
-            fat_scan_bytes: config.fault.fat_scan_bytes,
             lost_dirty_blocks: 0,
             rejected_writes: 0,
             rejected_blocks: 0,
@@ -552,7 +621,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
                             }
                         }
                     }
-                    self.flush_writeback(now, &flushes, op);
+                    self.flush(now, &flushes, false);
                 } else {
                     // The device reported the access uncorrectable: never
                     // cache data it could not deliver intact.
@@ -596,25 +665,9 @@ impl<'o, O: Observer> Simulator<'o, O> {
         if device_blocks == 0 {
             return (resp, true);
         }
-        let bytes = device_blocks * block_size;
-        let (svc, read) = match &mut self.backend {
-            Backend::Disk(disk) => (
-                disk.access_at_obs(
-                    now,
-                    Dir::Read,
-                    bytes,
-                    Some(op.file.0),
-                    Some(op.lbn),
-                    self.obs,
-                ),
-                Ok(()),
-            ),
-            Backend::FlashDisk(fd) => fd.try_read_obs(now, op.lbn, bytes, self.obs),
-            Backend::FlashCard(card) => {
-                card.try_read_obs(now, misses[0], device_blocks as u32, self.obs)
-            }
-            Backend::Array(arr) => arr.try_read_obs(now, misses[0], device_blocks as u32, self.obs),
-        };
+        let req = Request::new(Dir::Read, misses[0], device_blocks as u32, block_size)
+            .with_file(op.file.0);
+        let (svc, read) = self.backend.submit(now, req, self.obs);
         if read.is_err() {
             self.uncorrectable_reads += 1;
         }
@@ -648,8 +701,9 @@ impl<'o, O: Observer> Simulator<'o, O> {
         match self.write_policy {
             WritePolicy::WriteBack if self.dram.is_some() => {
                 // Dirty data stays in DRAM; only evictions reach storage,
-                // off the critical path of this write.
-                self.flush_writeback(now, &writeback_evictions, op);
+                // off the critical path of this write (the device still
+                // becomes busy, delaying later requests).
+                self.flush(now, &writeback_evictions, false);
                 dram_time
             }
             _ => dram_time + self.write_to_backend(now, op, &lbns),
@@ -673,8 +727,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 let mut resp = SimDuration::ZERO;
                 if !buf.fits(lbns) {
                     let blocks = buf.drain_blocks_obs(now, self.obs);
-                    let svc = self.flush_blocks(now, &blocks);
-                    self.last_completion = self.last_completion.max(svc.end);
+                    let svc = self.flush(now, &blocks, true);
                     if self.queueing == mobistore_device::QueueDiscipline::Fifo {
                         resp += svc.response(now);
                         self.note_critical_service(now, &svc);
@@ -690,42 +743,18 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 // No buffer, or the write is bigger than the buffer:
                 // straight to the device.
                 self.sram = other;
-                let svc = match &mut self.backend {
-                    Backend::Disk(disk) => disk.access_at_obs(
-                        now,
-                        Dir::Write,
-                        bytes,
-                        Some(op.file.0),
-                        Some(op.lbn),
-                        self.obs,
-                    ),
-                    Backend::FlashDisk(fd) => fd.access_obs(now, Dir::Write, bytes, self.obs),
-                    Backend::FlashCard(card) => {
-                        match card.try_write_obs(now, op.lbn, lbns.len() as u32, self.obs) {
-                            Ok(svc) => svc,
-                            Err(_) => {
-                                // Read-only end of life: account for the
-                                // refused write and keep draining the
-                                // trace instead of aborting.
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += lbns.len() as u64;
-                                return SimDuration::ZERO;
-                            }
-                        }
-                    }
-                    Backend::Array(arr) => {
-                        match arr.try_write_obs(now, op.lbn, lbns.len() as u32, self.obs) {
-                            Ok(svc) => svc,
-                            Err(_) => {
-                                // Array failed beyond its parity budget:
-                                // it is read-only now; drain the trace.
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += lbns.len() as u64;
-                                return SimDuration::ZERO;
-                            }
-                        }
-                    }
-                };
+                let req = Request::new(Dir::Write, op.lbn, lbns.len() as u32, block_size)
+                    .with_file(op.file.0);
+                let (svc, res) = self.backend.submit(now, req, self.obs);
+                if res.is_err() {
+                    // Read-only end of life (flash card) or failure beyond
+                    // the parity budget (array): account for the refused
+                    // write and keep draining the trace instead of
+                    // aborting.
+                    self.rejected_writes += 1;
+                    self.rejected_blocks += lbns.len() as u64;
+                    return SimDuration::ZERO;
+                }
                 self.note_critical_service(now, &svc);
                 self.last_completion = self.last_completion.max(svc.end);
                 svc.response(now)
@@ -733,121 +762,43 @@ impl<'o, O: Observer> Simulator<'o, O> {
         }
     }
 
-    /// Writes a sorted set of flushed blocks to the backend as one burst
-    /// (contiguous runs become single requests on the flash card).
-    fn flush_blocks(&mut self, now: SimTime, blocks: &[u64]) -> Service {
+    /// Writes flushed blocks to the backend. A device without a block map
+    /// takes them as one burst; a block-mapped one takes one request per
+    /// contiguous run of the sorted `blocks` when `runs` is set (an SRAM
+    /// flush) and one request per block otherwise (write-back evictions).
+    /// Requests chain back to back; refused ones are dropped but counted,
+    /// and later ones fail fast too.
+    fn flush(&mut self, now: SimTime, blocks: &[u64], runs: bool) -> Service {
         let block_size = self.block_size;
-        let bytes = blocks.len() as u64 * block_size;
-        match &mut self.backend {
-            Backend::Disk(disk) => disk.access_obs(now, Dir::Write, bytes, None, self.obs),
-            Backend::FlashDisk(fd) => fd.access_obs(now, Dir::Write, bytes, self.obs),
-            Backend::FlashCard(card) => {
-                let mut start = None;
-                let mut end = now;
-                let mut run_start = 0usize;
-                for i in 1..=blocks.len() {
-                    let run_ends = i == blocks.len() || blocks[i] != blocks[i - 1] + 1;
-                    if run_ends {
-                        let lbn = blocks[run_start];
-                        let count = (i - run_start) as u32;
-                        match card.try_write_obs(end, lbn, count, self.obs) {
-                            Ok(svc) => {
-                                start.get_or_insert(svc.start);
-                                end = svc.end;
-                            }
-                            Err(_) => {
-                                // Read-only: the run is dropped but
-                                // counted; later runs fail fast too.
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += u64::from(count);
-                            }
-                        }
-                        run_start = i;
-                    }
+        let burst = !self.backend.maps_blocks();
+        let mut start = None;
+        let mut end = now;
+        let mut run_start = 0usize;
+        for i in 1..=blocks.len() {
+            let run_ends =
+                i == blocks.len() || (!burst && (!runs || blocks[i] != blocks[i - 1] + 1));
+            if !run_ends {
+                continue;
+            }
+            let count = (i - run_start) as u32;
+            let req = Request::new(Dir::Write, blocks[run_start], count, block_size);
+            match self.backend.submit(end, req, self.obs) {
+                (svc, Ok(())) => {
+                    start.get_or_insert(svc.start);
+                    end = svc.end;
                 }
-                Service {
-                    start: start.unwrap_or(now),
-                    end,
+                (_, Err(_)) => {
+                    self.rejected_writes += 1;
+                    self.rejected_blocks += u64::from(count);
                 }
             }
-            Backend::Array(arr) => {
-                let mut start = None;
-                let mut end = now;
-                let mut run_start = 0usize;
-                for i in 1..=blocks.len() {
-                    let run_ends = i == blocks.len() || blocks[i] != blocks[i - 1] + 1;
-                    if run_ends {
-                        let lbn = blocks[run_start];
-                        let count = (i - run_start) as u32;
-                        match arr.try_write_obs(end, lbn, count, self.obs) {
-                            Ok(svc) => {
-                                start.get_or_insert(svc.start);
-                                end = svc.end;
-                            }
-                            Err(_) => {
-                                self.rejected_writes += 1;
-                                self.rejected_blocks += u64::from(count);
-                            }
-                        }
-                        run_start = i;
-                    }
-                }
-                Service {
-                    start: start.unwrap_or(now),
-                    end,
-                }
-            }
+            run_start = i;
         }
-    }
-
-    /// Flushes dirty write-back evictions to storage, off the critical
-    /// path (the device still becomes busy, delaying later requests).
-    fn flush_writeback(&mut self, now: SimTime, lbns: &[u64], op: &DiskOp) {
-        if lbns.is_empty() {
-            return;
+        self.last_completion = self.last_completion.max(end);
+        Service {
+            start: start.unwrap_or(now),
+            end,
         }
-        let block_size = self.block_size;
-        let bytes = lbns.len() as u64 * block_size;
-        let svc: Service = match &mut self.backend {
-            Backend::Disk(disk) => disk.access_obs(now, Dir::Write, bytes, None, self.obs),
-            Backend::FlashDisk(fd) => fd.access_obs(now, Dir::Write, bytes, self.obs),
-            Backend::FlashCard(card) => {
-                let mut end = now;
-                let mut start = now;
-                for &lbn in lbns {
-                    match card.try_write_obs(end, lbn, 1, self.obs) {
-                        Ok(svc) => {
-                            start = start.min(svc.start);
-                            end = svc.end;
-                        }
-                        Err(_) => {
-                            self.rejected_writes += 1;
-                            self.rejected_blocks += 1;
-                        }
-                    }
-                }
-                Service { start, end }
-            }
-            Backend::Array(arr) => {
-                let mut end = now;
-                let mut start = now;
-                for &lbn in lbns {
-                    match arr.try_write_obs(end, lbn, 1, self.obs) {
-                        Ok(svc) => {
-                            start = start.min(svc.start);
-                            end = svc.end;
-                        }
-                        Err(_) => {
-                            self.rejected_writes += 1;
-                            self.rejected_blocks += 1;
-                        }
-                    }
-                }
-                Service { start, end }
-            }
-        };
-        let _ = op;
-        self.last_completion = self.last_completion.max(svc.end);
     }
 
     /// Fires every scheduled power failure due at or before `until`.
@@ -882,21 +833,14 @@ impl<'o, O: Observer> Simulator<'o, O> {
             t: at,
             lost_dirty_blocks: lost,
         });
-        let svc = match &mut self.backend {
-            Backend::Disk(disk) => Some(disk.power_fail_obs(at, self.fat_scan_bytes, self.obs)),
-            Backend::FlashDisk(fd) => Some(fd.power_fail_obs(at, self.obs)),
-            Backend::FlashCard(card) => Some(card.power_fail_obs(at, self.obs)),
-            Backend::Array(arr) => Some(arr.power_fail_obs(at, self.obs)),
-        };
-        if let Some(svc) = svc {
-            self.obs.record(&Event::RecoveryEnd {
-                t: svc.end,
-                duration: svc.end.saturating_since(at),
-            });
-            self.obs
-                .span(&Span::new(SpanKind::Recovery, at, svc.end.max(at)));
-            self.last_completion = self.last_completion.max(svc.end);
-        }
+        let svc = self.backend.power_fail(at, self.obs);
+        self.obs.record(&Event::RecoveryEnd {
+            t: svc.end,
+            duration: svc.end.saturating_since(at),
+        });
+        self.obs
+            .span(&Span::new(SpanKind::Recovery, at, svc.end.max(at)));
+        self.last_completion = self.last_completion.max(svc.end);
     }
 
     fn do_trim(&mut self, op: &DiskOp) {
@@ -907,33 +851,13 @@ impl<'o, O: Observer> Simulator<'o, O> {
             if let Some(buf) = self.sram.as_mut() {
                 buf.invalidate(lbn);
             }
-            match &mut self.backend {
-                Backend::FlashCard(card) => card.trim_obs(op.time, lbn, 1, self.obs),
-                Backend::Array(arr) => arr.trim(lbn, 1),
-                _ => {}
-            }
+            self.backend.trim(op.time, lbn, 1, self.obs);
         }
     }
 
     fn reset_at_boundary(&mut self, at: SimTime, reset_wear: bool) {
-        match &mut self.backend {
-            Backend::Disk(disk) => {
-                disk.finish_obs(at, self.obs);
-                disk.reset_metrics();
-            }
-            Backend::FlashDisk(fd) => {
-                fd.finish_obs(at, self.obs);
-                fd.reset_metrics();
-            }
-            Backend::FlashCard(card) => {
-                card.finish_obs(at, self.obs);
-                card.reset_metrics(reset_wear);
-            }
-            Backend::Array(arr) => {
-                arr.finish_obs(at, self.obs);
-                arr.reset_metrics();
-            }
-        }
+        self.backend.settle_to(at, self.obs);
+        self.backend.clear_metrics(reset_wear);
         if let Some(buf) = self.sram.as_mut() {
             buf.reset_metrics();
         }
@@ -953,38 +877,27 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 .as_mut()
                 .map(|c| c.drain_dirty())
                 .unwrap_or_default();
-            if !dirty.is_empty() {
-                let fake = DiskOp {
-                    time: end,
-                    kind: DiskOpKind::Write,
-                    lbn: dirty[0],
-                    blocks: dirty.len() as u32,
-                    file: mobistore_trace::record::FileId(0),
-                };
-                self.flush_writeback(end, &dirty, &fake);
-            }
+            self.flush(end, &dirty, false);
         }
         let end = end.max(self.last_completion);
         let span = end.saturating_since(measure_start);
+        self.backend.settle_to(end, self.obs);
 
         let mut components: Vec<(&'static str, mobistore_sim::energy::Joules)> = Vec::new();
         let mut backoff = LatencyRecorder::new();
         let mut degraded = LatencyRecorder::new();
         let (disk_c, fd_c, card_c, array_c, wear, backend_states) = match &mut self.backend {
             Backend::Disk(disk) => {
-                disk.finish_obs(end, self.obs);
                 components.push(("disk", disk.energy()));
                 let states = disk.meter().breakdown_timed().collect();
                 (Some(disk.counters()), None, None, None, None, states)
             }
             Backend::FlashDisk(fd) => {
-                fd.finish_obs(end, self.obs);
                 components.push(("flash", fd.energy()));
                 let states = fd.meter().breakdown_timed().collect();
                 (None, Some(fd.counters()), None, None, None, states)
             }
             Backend::FlashCard(card) => {
-                card.finish_obs(end, self.obs);
                 components.push(("flash", card.energy()));
                 let states = card.meter().breakdown_timed().collect();
                 backoff = card.backoff_recorder().clone();
@@ -998,7 +911,6 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 )
             }
             Backend::Array(arr) => {
-                arr.finish_obs(end, self.obs);
                 components.push(("array", arr.energy()));
                 let states = arr.meter().breakdown_timed().collect();
                 degraded = arr.degraded_recorder().clone();
@@ -1051,14 +963,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
 /// Preloads a flash card with the trace's working set plus filler blocks
 /// up to the target utilization (§5.2's experimental setup).
 fn preload_card(card: &mut FlashCardStore, trace: &Trace, utilization: Option<f64>) {
-    let mut working: Vec<u64> = trace
-        .ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
-        .collect();
-    working.sort_unstable();
-    working.dedup();
+    let working = working_set(&trace.ops);
     let w = working.len() as u64;
 
     let target = match utilization {
@@ -1088,15 +993,7 @@ fn preload_card(card: &mut FlashCardStore, trace: &Trace, utilization: Option<f6
 /// block the trace reads has a generation-stamped stripe to decode (the
 /// crashcheck oracle preloads the same way).
 fn preload_array(arr: &mut ArrayDevice, trace: &Trace) {
-    let mut working: Vec<u64> = trace
-        .ops
-        .iter()
-        .filter(|op| op.kind != DiskOpKind::Trim)
-        .flat_map(|op| op.lbn..op.lbn + u64::from(op.blocks))
-        .collect();
-    working.sort_unstable();
-    working.dedup();
-    arr.preload(working.into_iter());
+    arr.preload(working_set(&trace.ops).into_iter());
 }
 
 #[cfg(test)]

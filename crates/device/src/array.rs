@@ -36,12 +36,12 @@ use mobistore_sim::ec::ReedSolomon;
 use mobistore_sim::energy::{EnergyMeter, Joules, Watts};
 use mobistore_sim::fault::DeathSchedule;
 use mobistore_sim::hist::LatencyRecorder;
-use mobistore_sim::obs::{Event, NoopObserver, Observer};
+use mobistore_sim::obs::{Event, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 use mobistore_sim::units::Bandwidth;
 
-use crate::{DeviceError, QueueDiscipline, Service};
+use crate::{Device, DeviceError, Dir, QueueDiscipline, Request, Service};
 
 /// The class of device serving as one array child.
 ///
@@ -250,12 +250,17 @@ const CATEGORIES: &[&str] = &[
 ///
 /// ```
 /// use mobistore_device::array::{ArrayDevice, ChildClass};
+/// use mobistore_device::{Device, Dir, Request};
+/// use mobistore_sim::obs::NoopObserver;
 /// use mobistore_sim::time::SimTime;
 ///
 /// let children = vec![ChildClass::FlashDisk; 6];
 /// let mut array = ArrayDevice::new(4, 2, &children, 1024);
-/// let svc = array.try_write(SimTime::ZERO, 0, 4).unwrap();
-/// let (_, res) = array.try_read(svc.end, 0, 4);
+/// let write = Request::new(Dir::Write, 0, 4, 1024);
+/// let (svc, res) = array.submit(SimTime::ZERO, write, &mut NoopObserver);
+/// assert!(res.is_ok());
+/// let read = Request { dir: Dir::Read, ..write };
+/// let (_, res) = array.submit(svc.end, read, &mut NoopObserver);
 /// assert!(res.is_ok());
 /// ```
 #[derive(Clone)]
@@ -444,14 +449,6 @@ impl ArrayDevice {
     /// The generation the next acknowledged write will receive.
     pub fn next_generation(&self) -> u64 {
         self.next_gen
-    }
-
-    /// Zeroes energy and counters while keeping array state; used at the
-    /// warm-up boundary (§4.2).
-    pub fn reset_metrics(&mut self) {
-        self.meter = EnergyMeter::new(CATEGORIES);
-        self.counters = ArrayCounters::default();
-        self.degraded = LatencyRecorder::new();
     }
 
     fn k(&self) -> usize {
@@ -775,18 +772,7 @@ impl ArrayDevice {
     /// shards yields [`DeviceError::ArrayDegraded`] — the loss is typed
     /// and mirrored as [`Event::UncorrectableRead`], never silent. Time
     /// and energy are accounted either way.
-    pub fn try_read(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-    ) -> (Service, Result<(), DeviceError>) {
-        self.try_read_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// [`try_read`](Self::try_read), reporting degraded reads and losses
-    /// to an observer.
-    pub fn try_read_obs<O: Observer>(
+    fn read_stripes<O: Observer>(
         &mut self,
         now: SimTime,
         lbn: u64,
@@ -899,18 +885,7 @@ impl ArrayDevice {
     /// stripes. Fails with [`DeviceError::ArrayFailed`] once the array is
     /// read-only, or [`DeviceError::ArrayDegraded`] if a stripe has too
     /// few survivors to recompute parity.
-    pub fn try_write(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-    ) -> Result<Service, DeviceError> {
-        self.try_write_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// [`try_write`](Self::try_write), reporting parity updates to an
-    /// observer.
-    pub fn try_write_obs<O: Observer>(
+    fn write_stripes<O: Observer>(
         &mut self,
         now: SimTime,
         lbn: u64,
@@ -1030,80 +1005,6 @@ impl ArrayDevice {
         }
     }
 
-    /// Discards `lbn..lbn+blocks`: the blocks leave the acknowledged set
-    /// and their payloads are zeroed (with parity recomputed) without
-    /// timing — the array has no cleaner to inform, so trim is pure
-    /// bookkeeping.
-    pub fn trim(&mut self, lbn: u64, blocks: u32) {
-        for b in lbn..lbn + u64::from(blocks) {
-            self.mapped.remove(&b);
-            let _ = self.store_instant(b, vec![0u8; PAYLOAD_BYTES]);
-        }
-    }
-
-    /// Loses power at `now` and recovers.
-    ///
-    /// Children are non-volatile, so shard contents survive; an in-flight
-    /// operation dies with the power. Recovery re-reads each present
-    /// child's stripe-map and rebuild-watermark headers in parallel, and
-    /// an interrupted rebuild resumes from its last durable checkpoint
-    /// (re-reconstructing a shard is idempotent, so replaying the tail of
-    /// the walk is safe). Returns the recovery interval.
-    pub fn power_fail(&mut self, now: SimTime) -> Service {
-        self.power_fail_obs(now, &mut NoopObserver)
-    }
-
-    /// [`power_fail`](Self::power_fail), reporting to an observer.
-    pub fn power_fail_obs<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
-        if now < self.free_at {
-            // The in-flight operation dies with the power.
-            self.free_at = now;
-        } else {
-            let _ = self.settle(now, obs);
-        }
-        if let Some(job) = &mut self.rebuild {
-            // The in-memory watermark is lost; resume from the durable
-            // checkpoint.
-            job.watermark = job.checkpoint;
-            job.since_checkpoint = 0;
-        }
-        let mut scan = SimDuration::ZERO;
-        for c in self.children.iter().filter(|c| c.state != ChildState::Dead) {
-            let t = c.profile.access_latency
-                + c.profile.read_bandwidth.transfer_time(RECOVERY_SCAN_BYTES);
-            scan = scan.max(t);
-            self.meter.charge_for("recover", c.profile.active_power, t);
-        }
-        let end = now + scan;
-        self.counters.power_failures += 1;
-        self.counters.recovery_time += scan;
-        self.free_at = end;
-        Service { start: now, end }
-    }
-
-    /// Accounts for the trailing idle period (letting the rebuild finish
-    /// what the remaining time allows) and closes any still-open
-    /// vulnerability windows at the end of a simulation.
-    pub fn finish(&mut self, end: SimTime) {
-        self.finish_obs(end, &mut NoopObserver);
-    }
-
-    /// [`finish`](Self::finish), reporting to an observer.
-    pub fn finish_obs<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
-        let _ = self.settle(end, obs);
-        for c in &mut self.children {
-            if let Some(died) = c.died_at {
-                self.counters.vulnerability += end.saturating_since(died);
-                // Re-anchor rather than close: the warm-up boundary calls
-                // finish + reset_metrics, and a child still missing then
-                // must keep accruing vulnerability into the measured
-                // window. Accrual stays incremental, so a second finish
-                // at the same time adds nothing.
-                c.died_at = Some(end);
-            }
-        }
-    }
-
     /// The acknowledged `(lbn, generation)` mapping as far as the array
     /// can still decode it, sorted by block. Blocks whose stripes have
     /// too few survivors are omitted — [`unreadable_blocks`]
@@ -1176,11 +1077,137 @@ impl ArrayDevice {
     }
 }
 
+impl Device for ArrayDevice {
+    /// Serves a read or a write of `req.blocks` blocks at `req.lbn`,
+    /// reporting degraded reads, losses, and parity updates to `obs`.
+    fn submit<O: Observer>(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        obs: &mut O,
+    ) -> (Service, Result<(), DeviceError>) {
+        match req.dir {
+            Dir::Read => self.read_stripes(now, req.lbn, req.blocks, obs),
+            Dir::Write => match self.write_stripes(now, req.lbn, req.blocks, obs) {
+                Ok(svc) => (svc, Ok(())),
+                Err(e) => (
+                    Service {
+                        start: now,
+                        end: now,
+                    },
+                    Err(e),
+                ),
+            },
+        }
+    }
+
+    /// The blocks leave the acknowledged set and their payloads are zeroed
+    /// (with parity recomputed) without timing — the array has no cleaner
+    /// to inform, so trim is pure bookkeeping.
+    fn trim<O: Observer>(&mut self, _now: SimTime, lbn: u64, blocks: u32, _obs: &mut O) {
+        for b in lbn..lbn + u64::from(blocks) {
+            self.mapped.remove(&b);
+            let _ = self.store_instant(b, vec![0u8; PAYLOAD_BYTES]);
+        }
+    }
+
+    /// Loses power at `now` and recovers.
+    ///
+    /// Children are non-volatile, so shard contents survive; an in-flight
+    /// operation dies with the power. Recovery re-reads each present
+    /// child's stripe-map and rebuild-watermark headers in parallel, and
+    /// an interrupted rebuild resumes from its last durable checkpoint
+    /// (re-reconstructing a shard is idempotent, so replaying the tail of
+    /// the walk is safe). Returns the recovery interval.
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
+        if now < self.free_at {
+            // The in-flight operation dies with the power.
+            self.free_at = now;
+        } else {
+            let _ = self.settle(now, obs);
+        }
+        if let Some(job) = &mut self.rebuild {
+            // The in-memory watermark is lost; resume from the durable
+            // checkpoint.
+            job.watermark = job.checkpoint;
+            job.since_checkpoint = 0;
+        }
+        let mut scan = SimDuration::ZERO;
+        for c in self.children.iter().filter(|c| c.state != ChildState::Dead) {
+            let t = c.profile.access_latency
+                + c.profile.read_bandwidth.transfer_time(RECOVERY_SCAN_BYTES);
+            scan = scan.max(t);
+            self.meter.charge_for("recover", c.profile.active_power, t);
+        }
+        let end = now + scan;
+        self.counters.power_failures += 1;
+        self.counters.recovery_time += scan;
+        self.free_at = end;
+        Service { start: now, end }
+    }
+
+    /// Accounts for the trailing idle period (letting the rebuild finish
+    /// what the remaining time allows) and closes any still-open
+    /// vulnerability windows at the end of a simulation.
+    fn settle_to<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        let _ = self.settle(end, obs);
+        for c in &mut self.children {
+            if let Some(died) = c.died_at {
+                self.counters.vulnerability += end.saturating_since(died);
+                // Re-anchor rather than close: the warm-up boundary calls
+                // settle_to + clear_metrics, and a child still missing
+                // then must keep accruing vulnerability into the measured
+                // window. Accrual stays incremental, so a second settle at
+                // the same time adds nothing.
+                c.died_at = Some(end);
+            }
+        }
+    }
+
+    fn clear_metrics(&mut self, _reset_wear: bool) {
+        self.meter = EnergyMeter::new(CATEGORIES);
+        self.counters = ArrayCounters::default();
+        self.degraded = LatencyRecorder::new();
+    }
+
+    fn maps_blocks(&self) -> bool {
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobistore_sim::obs::NoopObserver;
 
     const BLOCK: u64 = 1024;
+
+    fn write(
+        a: &mut ArrayDevice,
+        t: SimTime,
+        lbn: u64,
+        blocks: u32,
+    ) -> Result<Service, DeviceError> {
+        let (svc, res) = a.submit(
+            t,
+            Request::new(Dir::Write, lbn, blocks, BLOCK),
+            &mut NoopObserver,
+        );
+        res.map(|()| svc)
+    }
+
+    fn read(
+        a: &mut ArrayDevice,
+        t: SimTime,
+        lbn: u64,
+        blocks: u32,
+    ) -> (Service, Result<(), DeviceError>) {
+        a.submit(
+            t,
+            Request::new(Dir::Read, lbn, blocks, BLOCK),
+            &mut NoopObserver,
+        )
+    }
 
     fn array(k: usize, m: usize) -> ArrayDevice {
         ArrayDevice::new(k, m, &vec![ChildClass::FlashDisk; k + m], BLOCK)
@@ -1195,8 +1222,8 @@ mod tests {
     #[test]
     fn round_trip_reads_are_clean() {
         let mut a = array(4, 2);
-        let svc = a.try_write(SimTime::ZERO, 0, 8).unwrap();
-        let (r, res) = a.try_read(svc.end, 0, 8);
+        let svc = write(&mut a, SimTime::ZERO, 0, 8).unwrap();
+        let (r, res) = read(&mut a, svc.end, 0, 8);
         assert!(res.is_ok());
         assert!(r.end > r.start);
         assert_eq!(a.counters().degraded_reads, 0);
@@ -1211,7 +1238,7 @@ mod tests {
     #[test]
     fn writes_charge_parity_traffic_and_spread_rotation() {
         let mut a = array(2, 1);
-        let svc = a.try_write(SimTime::ZERO, 0, 2).unwrap();
+        let svc = write(&mut a, SimTime::ZERO, 0, 2).unwrap();
         // One stripe: 2 data + 1 parity shards, read-modify-write.
         assert_eq!(a.counters().parity_updates, 1);
         assert!(svc.end > svc.start);
@@ -1228,7 +1255,7 @@ mod tests {
         let mut a = array(4, 2)
             .with_deaths(death_at(6, 0, SimTime::from_secs_f64(5.0)))
             .with_spares(0);
-        let w = a.try_write(SimTime::ZERO, 0, 8).unwrap();
+        let w = write(&mut a, SimTime::ZERO, 0, 8).unwrap();
         assert!(
             w.end < SimTime::from_secs_f64(5.0),
             "setup writes precede death"
@@ -1236,7 +1263,7 @@ mod tests {
         // After the death, blocks whose shard lived on child 0 decode
         // from survivors; everything stays readable and correctly
         // stamped.
-        let (r, res) = a.try_read(SimTime::from_secs_f64(10.0), 0, 8);
+        let (r, res) = read(&mut a, SimTime::from_secs_f64(10.0), 0, 8);
         assert!(res.is_ok());
         assert!(a.counters().degraded_reads > 0);
         assert_eq!(a.counters().device_deaths, 1);
@@ -1258,9 +1285,8 @@ mod tests {
         let mut a = ArrayDevice::new(3, 1, &[ChildClass::FlashDisk; 4], BLOCK)
             .with_deaths(DeathSchedule::explicit(deaths))
             .with_rebuild_rate(1e-6);
-        a.try_write(SimTime::ZERO, 0, 6).unwrap();
-        let err = a
-            .try_write(SimTime::from_secs_f64(60.0), 100, 1)
+        write(&mut a, SimTime::ZERO, 0, 6).unwrap();
+        let err = write(&mut a, SimTime::from_secs_f64(60.0), 100, 1)
             .expect_err("array with 3 concurrent losses is read-only");
         assert!(matches!(
             err,
@@ -1272,7 +1298,7 @@ mod tests {
         assert!(a.is_failed());
         assert_eq!(a.counters().read_only_rejections, 1);
         // Reads of wholly-lost stripes report the loss, typed.
-        let (_, res) = a.try_read(SimTime::from_secs_f64(61.0), 0, 1);
+        let (_, res) = read(&mut a, SimTime::from_secs_f64(61.0), 0, 1);
         assert!(matches!(res, Err(DeviceError::ArrayDegraded { .. })));
         assert!(a.counters().data_loss_events > 0);
         assert!(!a.unreadable_blocks().is_empty());
@@ -1283,9 +1309,9 @@ mod tests {
         let mut a = array(4, 2)
             .with_deaths(death_at(6, 1, SimTime::from_secs_f64(5.0)))
             .with_rebuild_rate(1000.0);
-        a.try_write(SimTime::ZERO, 0, 16).unwrap();
+        write(&mut a, SimTime::ZERO, 0, 16).unwrap();
         // A long idle gap gives the paced rebuild time to finish.
-        a.finish(SimTime::from_secs_f64(30.0));
+        a.settle_to(SimTime::from_secs_f64(30.0), &mut NoopObserver);
         let c = a.counters();
         assert_eq!(c.rebuilds_completed, 1);
         assert!(c.rebuild_stripes >= 4, "4 stripes were written");
@@ -1294,7 +1320,7 @@ mod tests {
         assert_eq!(a.lost_children(), 0);
         // Post-rebuild reads are direct again.
         let before = a.counters().degraded_reads;
-        let (_, res) = a.try_read(SimTime::from_secs_f64(40.0), 0, 16);
+        let (_, res) = read(&mut a, SimTime::from_secs_f64(40.0), 0, 16);
         assert!(res.is_ok());
         assert_eq!(a.counters().degraded_reads, before);
         assert!(a.meter().category("rebuild").get() > 0.0);
@@ -1306,16 +1332,16 @@ mod tests {
             .with_deaths(death_at(6, 0, SimTime::from_secs_f64(5.0)))
             .with_rebuild_rate(10.0);
         // 520 blocks => 130 stripes: more than one 64-stripe checkpoint.
-        slow.try_write(SimTime::ZERO, 0, 520).unwrap();
-        let (_, res) = slow.try_read(SimTime::from_secs_f64(6.0), 0, 1);
+        write(&mut slow, SimTime::ZERO, 0, 520).unwrap();
+        let (_, res) = read(&mut slow, SimTime::from_secs_f64(6.0), 0, 1);
         assert!(res.is_ok());
         // By 14 s the walk is ~90 stripes in, past the 64-stripe
         // checkpoint but far from done; the crash rolls it back to 64.
-        slow.power_fail(SimTime::from_secs_f64(14.0));
+        slow.power_fail(SimTime::from_secs_f64(14.0), &mut NoopObserver);
         assert_eq!(slow.counters().power_failures, 1);
         // The walk resumes from the checkpoint and still completes; the
         // replayed tail is idempotent.
-        slow.finish(SimTime::from_secs_f64(60.0));
+        slow.settle_to(SimTime::from_secs_f64(60.0), &mut NoopObserver);
         assert_eq!(slow.counters().rebuilds_completed, 1);
         assert!(
             slow.counters().rebuild_stripes > 130,
@@ -1329,13 +1355,13 @@ mod tests {
     #[test]
     fn sabotaged_shard_changes_the_decoded_generation() {
         let mut a = array(4, 2);
-        a.try_write(SimTime::ZERO, 0, 4).unwrap();
+        write(&mut a, SimTime::ZERO, 0, 4).unwrap();
         let honest = a.snapshot();
         a.sabotage_corrupt(2);
         let tampered = a.snapshot();
         assert_ne!(honest, tampered, "corruption must change the mapping");
         // The array itself has no idea: reads still "succeed".
-        let (_, res) = a.try_read(SimTime::from_secs_f64(1.0), 2, 1);
+        let (_, res) = read(&mut a, SimTime::from_secs_f64(1.0), 2, 1);
         assert!(res.is_ok(), "silent corruption is invisible to the array");
     }
 
@@ -1344,11 +1370,11 @@ mod tests {
         let mut a = array(4, 2)
             .with_deaths(death_at(6, 0, SimTime::from_secs_f64(5.0)))
             .with_spares(0);
-        a.try_write(SimTime::ZERO, 0, 4).unwrap();
+        write(&mut a, SimTime::ZERO, 0, 4).unwrap();
         let honest = a.snapshot();
         // Kill block 0's child, then silently zero the surviving parity:
         // the degraded decode now reconstructs garbage.
-        let (_, res) = a.try_read(SimTime::from_secs_f64(6.0), 0, 1);
+        let (_, res) = read(&mut a, SimTime::from_secs_f64(6.0), 0, 1);
         assert!(res.is_ok());
         a.sabotage_corrupt(0);
         let tampered = a.snapshot();
@@ -1361,12 +1387,12 @@ mod tests {
         let mut quiet = array(4, 2).with_deaths(DeathSchedule::quiet(6));
         for i in 0..10u64 {
             let t = SimTime::from_secs_f64(i as f64);
-            let a = plain.try_write(t, i * 4, 4).unwrap();
-            let b = quiet.try_write(t, i * 4, 4).unwrap();
+            let a = write(&mut plain, t, i * 4, 4).unwrap();
+            let b = write(&mut quiet, t, i * 4, 4).unwrap();
             assert_eq!(a, b);
         }
-        plain.finish(SimTime::from_secs_f64(20.0));
-        quiet.finish(SimTime::from_secs_f64(20.0));
+        plain.settle_to(SimTime::from_secs_f64(20.0), &mut NoopObserver);
+        quiet.settle_to(SimTime::from_secs_f64(20.0), &mut NoopObserver);
         assert_eq!(plain.counters(), quiet.counters());
         assert_eq!(plain.energy().get(), quiet.energy().get());
         assert_eq!(plain.snapshot(), quiet.snapshot());
@@ -1379,7 +1405,7 @@ mod tests {
         let snap = a.snapshot();
         assert_eq!(snap, vec![(3, 1), (5, 3), (7, 2)]);
         assert_eq!(a.next_generation(), 4);
-        a.trim(5, 1);
+        a.trim(SimTime::ZERO, 5, 1, &mut NoopObserver);
         assert_eq!(a.snapshot().len(), 2);
         assert!(a.unreadable_blocks().is_empty());
     }
@@ -1387,14 +1413,14 @@ mod tests {
     #[test]
     fn power_fail_mid_op_frees_the_array_at_the_crash() {
         let mut a = array(4, 2);
-        let w = a.try_write(SimTime::ZERO, 0, 64).unwrap();
+        let w = write(&mut a, SimTime::ZERO, 0, 64).unwrap();
         let mid = w.start + (w.end - w.start) / 2;
-        let svc = a.power_fail(mid);
+        let svc = a.power_fail(mid, &mut NoopObserver);
         assert_eq!(svc.start, mid);
         assert!(svc.end > mid, "recovery scan takes time");
         assert!(a.counters().recovery_time > SimDuration::ZERO);
         assert!(a.meter().category("recover").get() > 0.0);
-        let (r, res) = a.try_read(svc.end, 0, 1);
+        let (r, res) = read(&mut a, svc.end, 0, 1);
         assert!(res.is_ok());
         assert_eq!(r.start, svc.end, "array serves as soon as recovered");
     }
@@ -1402,20 +1428,20 @@ mod tests {
     #[test]
     fn reads_queue_fifo_behind_a_busy_array() {
         let mut a = array(4, 2);
-        let w = a.try_write(SimTime::ZERO, 0, 64).unwrap();
-        let (r, _) = a.try_read(SimTime::from_nanos(10), 0, 1);
+        let w = write(&mut a, SimTime::ZERO, 0, 64).unwrap();
+        let (r, _) = read(&mut a, SimTime::from_nanos(10), 0, 1);
         assert_eq!(r.start, w.end);
         let mut open = array(4, 2).with_queueing(QueueDiscipline::OpenLoop);
-        let _ = open.try_write(SimTime::ZERO, 0, 64).unwrap();
-        let (r, _) = open.try_read(SimTime::from_nanos(10), 0, 1);
+        let _ = write(&mut open, SimTime::ZERO, 0, 64).unwrap();
+        let (r, _) = read(&mut open, SimTime::from_nanos(10), 0, 1);
         assert_eq!(r.start, SimTime::from_nanos(10));
     }
 
     #[test]
     fn reset_metrics_preserves_array_state() {
         let mut a = array(4, 2);
-        a.try_write(SimTime::ZERO, 0, 8).unwrap();
-        a.reset_metrics();
+        write(&mut a, SimTime::ZERO, 0, 8).unwrap();
+        a.clear_metrics(false);
         assert_eq!(a.energy().get(), 0.0);
         assert_eq!(a.counters(), ArrayCounters::default());
         assert_eq!(a.snapshot().len(), 8, "contents survive the reset");
@@ -1429,7 +1455,7 @@ mod tests {
             ChildClass::FlashDisk,
         ];
         let mut a = ArrayDevice::new(2, 1, &children, BLOCK);
-        let svc = a.try_write(SimTime::ZERO, 0, 2).unwrap();
+        let svc = write(&mut a, SimTime::ZERO, 0, 2).unwrap();
         // The hard disk's 25.7 ms access dominates the stripe commit.
         assert!((svc.end - svc.start).as_secs_f64() > 0.0257);
     }

@@ -25,7 +25,7 @@ use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
 
 use crate::params::DiskParams;
-use crate::{Dir, Service};
+use crate::{Device, DeviceError, Dir, Request, Service};
 
 /// Identifier used for the seek heuristic; mirrors
 /// `mobistore_trace::record::FileId` without depending on that crate.
@@ -169,6 +169,8 @@ pub struct MagneticDisk {
     last_file: Option<FileTag>,
     /// Head position (logical block) for the distance-based seek model.
     head_lbn: u64,
+    /// FAT and root-directory bytes re-read after a power failure.
+    fat_scan_bytes: u64,
 }
 
 const CATEGORIES: &[&str] = &["active", "idle", "spinup", "spindown", "standby", "recover"];
@@ -197,6 +199,7 @@ impl MagneticDisk {
             free_at: SimTime::ZERO,
             last_file: None,
             head_lbn: 0,
+            fat_scan_bytes: 128 * 1024,
         }
     }
 
@@ -209,6 +212,13 @@ impl MagneticDisk {
     /// Sets the seek model (see [`SeekModel`]).
     pub fn with_seek_model(mut self, model: SeekModel) -> Self {
         self.seek_model = model;
+        self
+    }
+
+    /// Sets the FAT and root-directory bytes the recovery scan re-reads
+    /// after a power failure (default 128 KiB).
+    pub fn with_fat_scan_bytes(mut self, bytes: u64) -> Self {
+        self.fat_scan_bytes = bytes;
         self
     }
 
@@ -318,22 +328,9 @@ impl MagneticDisk {
         self.access_at(now, dir, bytes, file, None)
     }
 
-    /// [`access`](Self::access), reporting spin-state transitions to an
-    /// observer.
-    pub fn access_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        dir: Dir,
-        bytes: u64,
-        file: Option<FileTag>,
-        obs: &mut O,
-    ) -> Service {
-        self.access_at_obs(now, dir, bytes, file, None, obs)
-    }
-
     /// Serves one access issued at `now`, with an optional target block
     /// address for the distance-based seek model ([`SeekModel`]); `lbn` is
-    /// ignored under the default model.
+    /// ignored under the default model, and `None` stays at the head.
     pub fn access_at(
         &mut self,
         now: SimTime,
@@ -342,127 +339,22 @@ impl MagneticDisk {
         file: Option<FileTag>,
         lbn: Option<u64>,
     ) -> Service {
-        self.access_at_obs(now, dir, bytes, file, lbn, &mut NoopObserver)
-    }
-
-    /// [`access_at`](Self::access_at), reporting spin-state transitions
-    /// ([`Event::DiskSpinUp`]/[`Event::DiskSpinDown`]) to an observer.
-    pub fn access_at_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        dir: Dir,
-        bytes: u64,
-        file: Option<FileTag>,
-        lbn: Option<u64>,
-        obs: &mut O,
-    ) -> Service {
-        let ready = self.settle(now, obs);
-
-        let seek = match self.seek_model {
-            SeekModel::SameFileAverage => match (file, self.last_file) {
-                (Some(f), Some(prev)) if f == prev => SimDuration::ZERO,
-                _ => self.params.avg_seek,
-            },
-            SeekModel::AlwaysAverage => self.params.avg_seek,
-            SeekModel::DistanceBased { capacity_blocks } => {
-                let target = lbn.unwrap_or(self.head_lbn);
-                let distance = target.abs_diff(self.head_lbn);
-                self.head_lbn = target + bytes.div_ceil(512).max(1);
-                // sqrt(distance / (capacity/2)) x avg_seek: the classic
-                // short-seek curve, anchored so half-capacity travel costs
-                // the datasheet average.
-                let half = (capacity_blocks / 2).max(1);
-                let frac = (distance as f64 / half as f64).sqrt().min(2.0);
-                self.params.avg_seek.mul_f64(frac)
-            }
+        // The disk streams bytes: the block count is unused.
+        let lbn = lbn.unwrap_or(self.head_lbn);
+        let req = Request {
+            dir,
+            lbn,
+            blocks: 0,
+            bytes,
+            file,
         };
-        let bandwidth = match dir {
-            Dir::Read => self.params.read_bandwidth,
-            Dir::Write => self.params.write_bandwidth,
-        };
-        let active = seek + self.params.avg_rotation + bandwidth.transfer_time(bytes);
-        let end = ready + active;
-        self.meter
-            .charge_for("active", self.params.active_power, active);
-        let transfer_start = ready + seek + self.params.avg_rotation;
-        obs.span(&Span::new(SpanKind::DiskSeek, ready, transfer_start));
-        obs.span(&Span::new(
-            SpanKind::DiskTransfer { bytes },
-            transfer_start,
-            end,
-        ));
-
-        self.counters.ops += 1;
-        match dir {
-            Dir::Read => self.counters.bytes_read += bytes,
-            Dir::Write => self.counters.bytes_written += bytes,
-        }
-        self.last_file = file;
-        // Open-loop accesses may overlap; keep the last-activity marker
-        // monotone so spin-down timing stays well defined.
-        self.free_at = self.free_at.max(end);
-        Service { start: ready, end }
-    }
-
-    /// Simulates a power failure at `now` followed by the recovery scan the
-    /// paper's DOS model implies: with the FAT written synchronously the
-    /// on-disk metadata is consistent, but the reboot still re-reads the
-    /// FAT and root directory (`fat_bytes`) before the volume is usable.
-    ///
-    /// The disk loses spindle state, so recovery always pays a spin-up,
-    /// then one average seek + rotation and the FAT transfer. The scan is
-    /// charged to the `"recover"` energy category at active power.
-    pub fn power_fail(&mut self, now: SimTime, fat_bytes: u64) -> Service {
-        self.power_fail_obs(now, fat_bytes, &mut NoopObserver)
-    }
-
-    /// [`power_fail`](Self::power_fail), reporting spin-state transitions
-    /// to an observer (the recovery spin-up is a [`Event::DiskSpinUp`]).
-    pub fn power_fail_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        fat_bytes: u64,
-        obs: &mut O,
-    ) -> Service {
-        // Settle history up to the failure instant; whatever state the
-        // platters were in, the outage leaves them stopped.
-        let ready = self.settle(now, obs).max(now);
-        obs.record(&Event::DiskSpinUp { t: ready });
-        let spun_up = ready + self.params.spin_up_time;
-        self.meter.charge_for(
-            "spinup",
-            self.params.spin_up_power,
-            self.params.spin_up_time,
-        );
-        self.counters.spin_ups += 1;
-
-        let scan = self.params.avg_seek
-            + self.params.avg_rotation
-            + self.params.read_bandwidth.transfer_time(fat_bytes);
-        let end = spun_up + scan;
-        self.meter
-            .charge_for("recover", self.params.active_power, scan);
-
-        self.counters.power_failures += 1;
-        self.counters.recovery_time += end - ready;
-        self.counters.bytes_read += fat_bytes;
-        // The scan moved the head; the same-file heuristic must re-seek.
-        self.last_file = None;
-        self.head_lbn = 0;
-        self.free_at = self.free_at.max(end);
-        Service { start: ready, end }
+        self.submit(now, req, &mut NoopObserver).0
     }
 
     /// Accounts for the trailing idle period at the end of a simulation so
     /// the energy integral covers `[0, end_of_trace]`.
     pub fn finish(&mut self, end: SimTime) {
-        self.finish_obs(end, &mut NoopObserver);
-    }
-
-    /// [`finish`](Self::finish), reporting a trailing spin-down, if any,
-    /// to an observer.
-    pub fn finish_obs<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
-        self.settle_idle_only(end, obs);
+        self.settle_to(end, &mut NoopObserver);
     }
 
     /// Settles the idle gap before a request arriving at `now` and returns
@@ -559,6 +451,122 @@ impl MagneticDisk {
             }
         }
         self.free_at = end;
+    }
+}
+
+impl Device for MagneticDisk {
+    /// Serves one access, reporting spin-state transitions
+    /// ([`Event::DiskSpinUp`]/[`Event::DiskSpinDown`]) to `obs`. Never
+    /// fails.
+    fn submit<O: Observer>(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        obs: &mut O,
+    ) -> (Service, Result<(), DeviceError>) {
+        let Request {
+            dir, bytes, file, ..
+        } = req;
+        let ready = self.settle(now, obs);
+
+        let seek = match self.seek_model {
+            SeekModel::SameFileAverage => match (file, self.last_file) {
+                (Some(f), Some(prev)) if f == prev => SimDuration::ZERO,
+                _ => self.params.avg_seek,
+            },
+            SeekModel::AlwaysAverage => self.params.avg_seek,
+            SeekModel::DistanceBased { capacity_blocks } => {
+                let distance = req.lbn.abs_diff(self.head_lbn);
+                self.head_lbn = req.lbn + bytes.div_ceil(512).max(1);
+                // sqrt(distance / (capacity/2)) x avg_seek: the classic
+                // short-seek curve, anchored so half-capacity travel costs
+                // the datasheet average.
+                let half = (capacity_blocks / 2).max(1);
+                let frac = (distance as f64 / half as f64).sqrt().min(2.0);
+                self.params.avg_seek.mul_f64(frac)
+            }
+        };
+        let bandwidth = match dir {
+            Dir::Read => self.params.read_bandwidth,
+            Dir::Write => self.params.write_bandwidth,
+        };
+        let active = seek + self.params.avg_rotation + bandwidth.transfer_time(bytes);
+        let end = ready + active;
+        self.meter
+            .charge_for("active", self.params.active_power, active);
+        let transfer_start = ready + seek + self.params.avg_rotation;
+        obs.span(&Span::new(SpanKind::DiskSeek, ready, transfer_start));
+        obs.span(&Span::new(
+            SpanKind::DiskTransfer { bytes },
+            transfer_start,
+            end,
+        ));
+
+        self.counters.ops += 1;
+        match dir {
+            Dir::Read => self.counters.bytes_read += bytes,
+            Dir::Write => self.counters.bytes_written += bytes,
+        }
+        self.last_file = file;
+        // Open-loop accesses may overlap; keep the last-activity marker
+        // monotone so spin-down timing stays well defined.
+        self.free_at = self.free_at.max(end);
+        (Service { start: ready, end }, Ok(()))
+    }
+
+    /// Simulates a power failure at `now` followed by the recovery scan the
+    /// paper's DOS model implies: with the FAT written synchronously the
+    /// on-disk metadata is consistent, but the reboot still re-reads the
+    /// FAT and root directory ([`with_fat_scan_bytes`]
+    /// (MagneticDisk::with_fat_scan_bytes)) before the volume is usable.
+    ///
+    /// The disk loses spindle state, so recovery always pays a spin-up
+    /// (reported as an [`Event::DiskSpinUp`]), then one average seek +
+    /// rotation and the FAT transfer. The scan is charged to the
+    /// `"recover"` energy category at active power.
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
+        // Settle history up to the failure instant; whatever state the
+        // platters were in, the outage leaves them stopped.
+        let ready = self.settle(now, obs).max(now);
+        obs.record(&Event::DiskSpinUp { t: ready });
+        let spun_up = ready + self.params.spin_up_time;
+        self.meter.charge_for(
+            "spinup",
+            self.params.spin_up_power,
+            self.params.spin_up_time,
+        );
+        self.counters.spin_ups += 1;
+
+        let fat_bytes = self.fat_scan_bytes;
+        let scan = self.params.avg_seek
+            + self.params.avg_rotation
+            + self.params.read_bandwidth.transfer_time(fat_bytes);
+        let end = spun_up + scan;
+        self.meter
+            .charge_for("recover", self.params.active_power, scan);
+
+        self.counters.power_failures += 1;
+        self.counters.recovery_time += end - ready;
+        self.counters.bytes_read += fat_bytes;
+        // The scan moved the head; the same-file heuristic must re-seek.
+        self.last_file = None;
+        self.head_lbn = 0;
+        self.free_at = self.free_at.max(end);
+        Service { start: ready, end }
+    }
+
+    /// Settles the trailing idle period, reporting a trailing spin-down,
+    /// if any, to `obs`.
+    fn settle_to<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        self.settle_idle_only(end, obs);
+    }
+
+    fn clear_metrics(&mut self, _reset_wear: bool) {
+        self.reset_metrics();
+    }
+
+    fn maps_blocks(&self) -> bool {
+        false
     }
 }
 
@@ -847,7 +855,7 @@ mod tests {
     fn power_fail_replays_fat_after_spin_up() {
         let mut d = disk();
         let first = d.access(SimTime::ZERO, Dir::Read, 0, Some(1));
-        let svc = d.power_fail(first.end, 128 * KIB);
+        let svc = d.power_fail(first.end, &mut NoopObserver);
         let c = d.counters();
         assert_eq!(c.power_failures, 1);
         assert_eq!(c.spin_ups, 1);
@@ -865,9 +873,10 @@ mod tests {
         use mobistore_sim::obs::CountingObserver;
         let mut d = disk();
         let mut obs = CountingObserver::default();
-        let first = d.access_obs(SimTime::ZERO, Dir::Read, 0, Some(1), &mut obs);
+        let req = Request::new(Dir::Read, 0, 0, 512).with_file(1);
+        let (first, _) = d.submit(SimTime::ZERO, req, &mut obs);
         let later = first.end + SimDuration::from_secs(60);
-        let _ = d.access_obs(later, Dir::Read, 0, Some(1), &mut obs);
+        let _ = d.submit(later, req, &mut obs);
         assert_eq!(obs.counts.get("disk_spin_down"), 1);
         assert_eq!(obs.counts.get("disk_spin_up"), 1);
         // The observed run's counters match the unobserved model's.

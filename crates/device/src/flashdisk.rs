@@ -20,7 +20,7 @@ use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::SimTime;
 
 use crate::params::{ErasePolicy, FlashDiskParams};
-use crate::{DeviceError, Dir, Service};
+use crate::{Device, DeviceError, Dir, Request, Service};
 
 /// Counters the flash disk maintains alongside energy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -182,46 +182,17 @@ impl FlashDisk {
         self.counters = FlashDiskCounters::default();
     }
 
-    /// Serves one access issued at `now`.
+    /// Serves one access issued at `now`; a read runs the checked read
+    /// path and drops its verdict (a quiet integrity plan never fails).
     pub fn access(&mut self, now: SimTime, dir: Dir, bytes: u64) -> Service {
-        self.access_obs(now, dir, bytes, &mut NoopObserver)
-    }
-
-    /// [`access`](Self::access), reporting background pre-erasure
-    /// ([`Event::FlashPreErase`]) to an observer.
-    pub fn access_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        dir: Dir,
-        bytes: u64,
-        obs: &mut O,
-    ) -> Service {
-        let start = self.settle(now, obs);
-        let service = match dir {
-            Dir::Read => self.params.read_bandwidth.transfer_time(bytes),
-            Dir::Write => self.write_time(bytes),
+        let req = Request {
+            dir,
+            lbn: 0,
+            blocks: 0,
+            bytes,
+            file: None,
         };
-        let total = self.params.access_latency + service;
-        let end = start + total;
-        self.meter
-            .charge_for("active", self.params.active_power, total);
-
-        self.counters.ops += 1;
-        let span_kind = match dir {
-            Dir::Read => {
-                self.counters.bytes_read += bytes;
-                SpanKind::FlashRead { bytes }
-            }
-            Dir::Write => {
-                self.counters.bytes_written += bytes;
-                self.last_write = self.last_write.max(end);
-                SpanKind::FlashProgram { bytes }
-            }
-        };
-        obs.span(&Span::new(span_kind, start, end));
-        // Open-loop accesses may overlap; keep the marker monotone.
-        self.free_at = self.free_at.max(end);
-        Service { start, end }
+        self.submit(now, req, &mut NoopObserver).0
     }
 
     /// Fallible read: one bit-error classification per access (the flash
@@ -229,19 +200,48 @@ impl FlashDisk {
     /// per request, with the retention clock reset by any write). Time and
     /// energy are always accounted; an error count past the ECC budget and
     /// the bounded read-retry yields [`DeviceError::Uncorrectable`] —
-    /// reported, never silent.
+    /// reported, never silent. `lbn` labels the error and its events.
     pub fn try_read(
         &mut self,
         now: SimTime,
         lbn: u64,
         bytes: u64,
     ) -> (Service, Result<(), DeviceError>) {
-        self.try_read_obs(now, lbn, bytes, &mut NoopObserver)
+        let req = Request {
+            dir: Dir::Read,
+            lbn,
+            blocks: 0,
+            bytes,
+            file: None,
+        };
+        self.submit(now, req, &mut NoopObserver)
     }
 
-    /// [`try_read`](Self::try_read), reporting ECC corrections, retries,
-    /// and uncorrectable losses to an observer.
-    pub fn try_read_obs<O: Observer>(
+    /// Accounts for the trailing idle period (and any final background
+    /// erasure) at the end of a simulation.
+    pub fn finish(&mut self, end: SimTime) {
+        self.settle_to(end, &mut NoopObserver);
+    }
+
+    /// Programs `bytes`, reporting the program span to `obs`.
+    fn program<O: Observer>(&mut self, now: SimTime, bytes: u64, obs: &mut O) -> Service {
+        let start = self.settle(now, obs);
+        let total = self.params.access_latency + self.write_time(bytes);
+        let end = start + total;
+        self.meter
+            .charge_for("active", self.params.active_power, total);
+        self.counters.ops += 1;
+        self.counters.bytes_written += bytes;
+        self.last_write = self.last_write.max(end);
+        obs.span(&Span::new(SpanKind::FlashProgram { bytes }, start, end));
+        // Open-loop accesses may overlap; keep the marker monotone.
+        self.free_at = self.free_at.max(end);
+        Service { start, end }
+    }
+
+    /// Reads `bytes` through the bit-error/ECC model, reporting
+    /// corrections, retries, and uncorrectable losses to `obs`.
+    fn checked_read<O: Observer>(
         &mut self,
         now: SimTime,
         lbn: u64,
@@ -308,56 +308,6 @@ impl FlashDisk {
         self.counters.bytes_read += bytes;
         self.free_at = self.free_at.max(end);
         (Service { start, end }, result)
-    }
-
-    /// Accounts for the trailing idle period (and any final background
-    /// erasure) at the end of a simulation.
-    pub fn finish(&mut self, end: SimTime) {
-        self.finish_obs(end, &mut NoopObserver);
-    }
-
-    /// [`finish`](Self::finish), reporting trailing background erasure to
-    /// an observer.
-    pub fn finish_obs<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
-        let settled = self.settle(end, obs);
-        debug_assert!(settled >= end || settled == end.max(settled));
-    }
-
-    /// Loses power at `now` and recovers.
-    ///
-    /// Flash is non-volatile, so the pre-erased pool and pending garbage
-    /// survive; an in-flight access is abandoned. The emulation layer hides
-    /// recovery inside the controller: on power-up it re-reads the remap
-    /// and erase-state headers of its spare pool (one
-    /// [`REMAP_HEADER_BYTES`] header per [`SECTOR_BYTES`] sector) before
-    /// serving requests. Returns the recovery interval.
-    pub fn power_fail(&mut self, now: SimTime) -> Service {
-        self.power_fail_obs(now, &mut NoopObserver)
-    }
-
-    /// [`power_fail`](Self::power_fail), reporting background erasure cut
-    /// short by the crash to an observer.
-    pub fn power_fail_obs<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
-        if now < self.free_at {
-            // The in-flight access dies with the power; the controller is
-            // free the instant power returns.
-            self.free_at = now;
-        } else {
-            let _ = self.settle(now, obs);
-        }
-        let sectors = self.params.spare_pool_bytes.div_ceil(SECTOR_BYTES);
-        let scan = self
-            .params
-            .read_bandwidth
-            .transfer_time(sectors * REMAP_HEADER_BYTES);
-        let total = self.params.access_latency + scan;
-        let end = now + total;
-        self.meter
-            .charge_for("recover", self.params.active_power, total);
-        self.counters.power_failures += 1;
-        self.counters.recovery_time += total;
-        self.free_at = end;
-        Service { start: now, end }
     }
 
     fn write_time(&mut self, bytes: u64) -> mobistore_sim::time::SimDuration {
@@ -429,6 +379,67 @@ impl FlashDisk {
         self.meter.charge_for("idle", self.params.idle_power, idle);
         self.free_at = now;
         now
+    }
+}
+
+impl Device for FlashDisk {
+    /// Serves one access, reporting background pre-erasure
+    /// ([`Event::FlashPreErase`]) and, on reads, ECC activity to `obs`.
+    fn submit<O: Observer>(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        obs: &mut O,
+    ) -> (Service, Result<(), DeviceError>) {
+        match req.dir {
+            Dir::Read => self.checked_read(now, req.lbn, req.bytes, obs),
+            Dir::Write => (self.program(now, req.bytes, obs), Ok(())),
+        }
+    }
+
+    /// Loses power at `now` and recovers.
+    ///
+    /// Flash is non-volatile, so the pre-erased pool and pending garbage
+    /// survive; an in-flight access is abandoned. The emulation layer hides
+    /// recovery inside the controller: on power-up it re-reads the remap
+    /// and erase-state headers of its spare pool (one
+    /// [`REMAP_HEADER_BYTES`] header per [`SECTOR_BYTES`] sector) before
+    /// serving requests. Returns the recovery interval.
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service {
+        if now < self.free_at {
+            // The in-flight access dies with the power; the controller is
+            // free the instant power returns.
+            self.free_at = now;
+        } else {
+            let _ = self.settle(now, obs);
+        }
+        let sectors = self.params.spare_pool_bytes.div_ceil(SECTOR_BYTES);
+        let scan = self
+            .params
+            .read_bandwidth
+            .transfer_time(sectors * REMAP_HEADER_BYTES);
+        let total = self.params.access_latency + scan;
+        let end = now + total;
+        self.meter
+            .charge_for("recover", self.params.active_power, total);
+        self.counters.power_failures += 1;
+        self.counters.recovery_time += total;
+        self.free_at = end;
+        Service { start: now, end }
+    }
+
+    /// Settles the trailing idle period, reporting trailing background
+    /// erasure to `obs`.
+    fn settle_to<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        let _ = self.settle(end, obs);
+    }
+
+    fn clear_metrics(&mut self, _reset_wear: bool) {
+        self.reset_metrics();
+    }
+
+    fn maps_blocks(&self) -> bool {
+        false
     }
 }
 
@@ -557,7 +568,7 @@ mod tests {
         let mut fd = FlashDisk::new(sdp5a_datasheet());
         let first = fd.access(SimTime::ZERO, Dir::Write, 100 * KIB);
         let pool = fd.erased_pool();
-        let svc = fd.power_fail(first.end);
+        let svc = fd.power_fail(first.end, &mut NoopObserver);
         assert!(svc.end > svc.start, "remap scan takes time");
         assert_eq!(fd.erased_pool(), pool, "flash state is non-volatile");
         assert_eq!(fd.counters().power_failures, 1);
@@ -569,7 +580,7 @@ mod tests {
         // would-be completion.
         let w = fd.access(svc.end, Dir::Write, 100 * KIB);
         let mid = w.start + SimDuration::from_nanos((w.end - w.start).as_nanos() / 2);
-        let svc2 = fd.power_fail(mid);
+        let svc2 = fd.power_fail(mid, &mut NoopObserver);
         assert_eq!(svc2.start, mid);
         let after = fd.access(svc2.end, Dir::Read, KIB);
         assert_eq!(after.start, svc2.end, "device serves as soon as recovered");

@@ -19,6 +19,11 @@
 //! and model request queueing internally (a request issued while the device
 //! is busy waits), which is what produces the paper's maximum-response
 //! columns.
+//!
+//! Every backend — the three above plus [`array::ArrayDevice`] — speaks one
+//! interface, the [`Device`] trait: the host submits [`Request`]s, trims,
+//! fails the power, and settles trailing idle time the same way whatever
+//! the storage alternative, so a trace replays unchanged against each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,12 +37,14 @@ pub use array::ArrayDevice;
 pub use disk::MagneticDisk;
 pub use flashdisk::FlashDisk;
 
+use mobistore_sim::obs::Observer;
+use mobistore_sim::time::{SimDuration, SimTime};
+
 /// A typed, recoverable device failure.
 ///
-/// These replace the library's historical `panic!` paths: callers that can
+/// [`Device::submit`] returns these instead of panicking: callers that can
 /// degrade gracefully (the simulator's drain mode, the `repro` binary's
-/// exit-code mapping) match on the variant, while the old panicking entry
-/// points remain as thin wrappers that format the same message.
+/// exit-code mapping) match on the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceError {
     /// The flash card has exhausted its cleanable capacity (spare guard
@@ -176,14 +183,14 @@ pub enum Dir {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Service {
     /// When the device began working on the request.
-    pub start: mobistore_sim::time::SimTime,
+    pub start: SimTime,
     /// When the request completed.
-    pub end: mobistore_sim::time::SimTime,
+    pub end: SimTime,
 }
 
 impl Service {
     /// The time spent servicing (excluding queueing).
-    pub fn service_time(&self) -> mobistore_sim::time::SimDuration {
+    pub fn service_time(&self) -> SimDuration {
         self.end - self.start
     }
 
@@ -192,12 +199,94 @@ impl Service {
     /// # Panics
     ///
     /// Panics if `issued` is after `end`.
-    pub fn response(
-        &self,
-        issued: mobistore_sim::time::SimTime,
-    ) -> mobistore_sim::time::SimDuration {
+    pub fn response(&self, issued: SimTime) -> SimDuration {
         self.end - issued
     }
+}
+
+/// One host request: `blocks` logical blocks from `lbn` on, `bytes` long.
+///
+/// Block-mapped devices (flash card, array) address `lbn..lbn + blocks`;
+/// the disks stream `bytes` and use `lbn` only as the seek target of the
+/// distance model and `file` for the same-file seek heuristic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request {
+    /// Read or write.
+    pub dir: Dir,
+    /// First logical block.
+    pub lbn: u64,
+    /// Logical blocks covered.
+    pub blocks: u32,
+    /// Bytes transferred.
+    pub bytes: u64,
+    /// The file the request belongs to; `None` for requests that
+    /// interleave many files (cache flushes).
+    pub file: Option<disk::FileTag>,
+}
+
+impl Request {
+    /// A request for `blocks` blocks of `block_bytes` each from `lbn` on,
+    /// tied to no file.
+    pub fn new(dir: Dir, lbn: u64, blocks: u32, block_bytes: u64) -> Self {
+        Request {
+            dir,
+            lbn,
+            blocks,
+            bytes: u64::from(blocks) * block_bytes,
+            file: None,
+        }
+    }
+
+    /// The same request, tagged with `file`.
+    pub fn with_file(self, file: disk::FileTag) -> Self {
+        Request {
+            file: Some(file),
+            ..self
+        }
+    }
+}
+
+/// The interface every storage alternative implements.
+///
+/// Observed and unobserved runs share one code path: pass
+/// [`NoopObserver`](mobistore_sim::obs::NoopObserver) and the event and
+/// span calls compile away.
+pub trait Device {
+    /// Serves `req`, issued at `now`. A failed read still accounts time
+    /// and energy and returns the interval the device worked; a refused
+    /// write returns an empty interval at `now` that callers drop.
+    fn submit<O: Observer>(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        obs: &mut O,
+    ) -> (Service, Result<(), DeviceError>);
+
+    /// Discards `lbn..lbn + blocks` (file deletion); takes no device time.
+    /// `now` stamps any background work the trim triggers. Devices without
+    /// a block map ignore trims.
+    fn trim<O: Observer>(&mut self, now: SimTime, lbn: u64, blocks: u32, obs: &mut O) {
+        let _ = (now, lbn, blocks, obs);
+    }
+
+    /// Loses power at `now`, runs the device's recovery, and returns the
+    /// recovery interval.
+    fn power_fail<O: Observer>(&mut self, now: SimTime, obs: &mut O) -> Service;
+
+    /// Accounts for the idle period up to `end` (and any background work
+    /// it allows) without serving a request: the end of a run, or the
+    /// warm-up boundary.
+    fn settle_to<O: Observer>(&mut self, end: SimTime, obs: &mut O);
+
+    /// Zeroes energy and counters while keeping device state (the warm-up
+    /// boundary, §4.2). `reset_wear` also zeroes per-segment wear on
+    /// devices that track it.
+    fn clear_metrics(&mut self, reset_wear: bool);
+
+    /// True if the device places each logical block individually (flash
+    /// card, array), so a flush of scattered blocks costs one request per
+    /// run; false if it streams a flush as one burst (the disks).
+    fn maps_blocks(&self) -> bool;
 }
 
 #[cfg(test)]

@@ -70,7 +70,9 @@ pub fn run(scale: Scale) -> EnvyCheck {
             let mut response = mobistore_sim::stats::OnlineStats::new();
             for _ in 0..writes {
                 now += SimDuration::from_micros(500);
-                let svc = card.write(now, rng.below(live), 1);
+                let svc = card
+                    .try_write(now, rng.below(live), 1)
+                    .expect("overwrites of live blocks never outgrow the card");
                 response.record((svc.end - now).as_millis_f64());
                 now = svc.end;
             }

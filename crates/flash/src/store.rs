@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use mobistore_device::params::FlashCardParams;
-use mobistore_device::{DeviceError, Service};
+use mobistore_device::{Device, DeviceError, Dir, Request, Service};
 use mobistore_sim::crashcheck::FIRST_GENERATION;
 use mobistore_sim::energy::{EnergyMeter, Joules};
 use mobistore_sim::fault::{EraseOutcome, FaultConfig, FaultPlan};
@@ -303,7 +303,7 @@ impl WearStats {
 ///     victim_policy: VictimPolicy::GreedyMinLive,
 ///     queueing: mobistore_device::QueueDiscipline::Fifo,
 /// });
-/// let svc = card.write(SimTime::ZERO, 0, 4);
+/// let svc = card.try_write(SimTime::ZERO, 0, 4).unwrap();
 /// assert!(svc.end > svc.start);
 /// assert_eq!(card.live_blocks(), 4);
 /// ```
@@ -697,33 +697,14 @@ impl FlashCardStore {
         self.debug_check();
     }
 
-    /// Serves a read of `blocks` logical blocks issued at `now`.
+    /// Serves a read of `blocks` logical blocks issued at `now`, classifying
+    /// every mapped block through the bit-error/ECC model.
     ///
     /// Reads never wait for cleaning (erasure is suspended during I/O), but
-    /// do queue behind earlier requests. Any uncorrectable-read error is
-    /// dropped; see [`try_read`](Self::try_read) for the checked path.
-    pub fn read(&mut self, now: SimTime, lbn: u64, blocks: u32) -> Service {
-        self.read_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// [`read`](Self::read), reporting background-cleaning completions that
-    /// settle during the preceding idle gap — and any bit-error activity —
-    /// to an observer.
-    pub fn read_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-        obs: &mut O,
-    ) -> Service {
-        self.try_read_obs(now, lbn, blocks, obs).0
-    }
-
-    /// Fallible [`read`](Self::read): classifies every mapped block through
-    /// the bit-error/ECC model. Time and energy are always accounted (the
-    /// device worked either way), so the service interval is returned
-    /// alongside the verdict; the first block that exceeds both the ECC
-    /// budget and the read-retry bound yields
+    /// do queue behind earlier requests. Time and energy are always
+    /// accounted (the device worked either way), so the service interval
+    /// is returned alongside the verdict; the first block that exceeds both
+    /// the ECC budget and the read-retry bound yields
     /// [`DeviceError::Uncorrectable`] and is unmapped — its data is gone,
     /// and the loss is *reported*, never silent.
     pub fn try_read(
@@ -732,7 +713,36 @@ impl FlashCardStore {
         lbn: u64,
         blocks: u32,
     ) -> (Service, Result<(), DeviceError>) {
-        self.try_read_obs(now, lbn, blocks, &mut NoopObserver)
+        let req = Request::new(Dir::Read, lbn, blocks, self.config.block_size);
+        self.submit(now, req, &mut NoopObserver)
+    }
+
+    /// Serves a write of `blocks` logical blocks starting at `lbn`, issued
+    /// at `now`. A drained erased pool may stall the write behind cleaning
+    /// (§5.2); once nothing is cleanable the card goes read-only at end of
+    /// life and this and every later write returns
+    /// [`DeviceError::ReadOnly`].
+    pub fn try_write(
+        &mut self,
+        now: SimTime,
+        lbn: u64,
+        blocks: u32,
+    ) -> Result<Service, DeviceError> {
+        let req = Request::new(Dir::Write, lbn, blocks, self.config.block_size);
+        let (svc, res) = self.submit(now, req, &mut NoopObserver);
+        res.map(|()| svc)
+    }
+
+    /// [`Device::trim`], with the trim's sim time (`now`) so any cleaning
+    /// job it triggers is reported to the observer with a correct stamp.
+    pub fn trim_obs<O: Observer>(&mut self, now: SimTime, lbn: u64, blocks: u32, obs: &mut O) {
+        self.trim(now, lbn, blocks, obs);
+    }
+
+    /// Accounts for the trailing idle period (and any final background
+    /// cleaning) at the end of a simulation.
+    pub fn finish(&mut self, end: SimTime) {
+        self.settle_to(end, &mut NoopObserver);
     }
 
     /// [`try_read`](Self::try_read), reporting ECC corrections
@@ -740,7 +750,7 @@ impl FlashCardStore {
     /// uncorrectable losses ([`Event::UncorrectableRead`]), and
     /// wear-triggered relocations ([`Event::BlockRelocated`]) to an
     /// observer.
-    pub fn try_read_obs<O: Observer>(
+    fn read_blocks<O: Observer>(
         &mut self,
         now: SimTime,
         lbn: u64,
@@ -879,8 +889,9 @@ impl FlashCardStore {
         true
     }
 
-    /// Serves a write of `blocks` logical blocks starting at `lbn`, issued
-    /// at `now`.
+    /// Writes `blocks` logical blocks starting at `lbn`, issued at `now`,
+    /// reporting cleaning activity, faults, and the end-of-life transition
+    /// ([`Event::FlashEndOfLife`]) to an observer.
     ///
     /// Cleaning is needed whenever the erased-segment pool drains. Under
     /// [`CleanerMode::Background`] a job is launched to run during idle
@@ -888,51 +899,6 @@ impl FlashCardStore {
     /// wait out its remaining work, which is what degrades write response
     /// at high utilization (§5.2). Under [`CleanerMode::OnDemand`] the
     /// triggering write performs the whole cleaning synchronously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if space is exhausted and nothing is cleanable (the working
-    /// set exceeds usable capacity); see [`try_write`](Self::try_write) for
-    /// the fallible path.
-    pub fn write(&mut self, now: SimTime, lbn: u64, blocks: u32) -> Service {
-        self.write_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// Fallible [`write`](Self::write): on capacity exhaustion the card
-    /// transitions to sticky read-only end-of-life mode and returns
-    /// [`DeviceError::ReadOnly`] instead of panicking.
-    pub fn try_write(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-    ) -> Result<Service, DeviceError> {
-        self.try_write_obs(now, lbn, blocks, &mut NoopObserver)
-    }
-
-    /// [`write`](Self::write), reporting cleaning activity
-    /// ([`Event::FlashCleanStart`]/[`Event::FlashCleanEnd`]) and injected
-    /// faults ([`Event::FaultInjected`]) to an observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when space is exhausted, like [`write`](Self::write).
-    pub fn write_obs<O: Observer>(
-        &mut self,
-        now: SimTime,
-        lbn: u64,
-        blocks: u32,
-        obs: &mut O,
-    ) -> Service {
-        match self.try_write_obs(now, lbn, blocks, obs) {
-            Ok(svc) => svc,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`try_write`](Self::try_write), reporting cleaning activity, faults,
-    /// and the end-of-life transition ([`Event::FlashEndOfLife`]) to an
-    /// observer.
     ///
     /// When a write finds the frontier full, the erased pool empty, and
     /// nothing cleanable (the live working set has outgrown the usable
@@ -943,7 +909,7 @@ impl FlashCardStore {
     /// that hits end of life mid-transfer keeps the blocks already placed
     /// (the transfer failed partway, as on a real device) and reports the
     /// error for the whole operation.
-    pub fn try_write_obs<O: Observer>(
+    fn write_blocks<O: Observer>(
         &mut self,
         now: SimTime,
         lbn: u64,
@@ -1043,87 +1009,6 @@ impl FlashCardStore {
             usable: self.usable_blocks(),
             retired: self.retired_blocks(),
         }
-    }
-
-    /// Marks `blocks` logical blocks starting at `lbn` dead (file deletion).
-    /// Takes no device time.
-    pub fn trim(&mut self, lbn: u64, blocks: u32) {
-        // The timestamp only labels observer events; NoopObserver drops it.
-        self.trim_obs(self.free_at, lbn, blocks, &mut NoopObserver);
-    }
-
-    /// [`trim`](Self::trim), with the trim's sim time (`now`) so any
-    /// cleaning job it triggers is reported to the observer with a correct
-    /// stamp.
-    pub fn trim_obs<O: Observer>(&mut self, now: SimTime, lbn: u64, blocks: u32, obs: &mut O) {
-        for i in 0..u64::from(blocks) {
-            if let Some(loc) = self.map.remove(&(lbn + i)) {
-                self.segments[loc.seg as usize].live -= 1;
-                self.live_blocks -= 1;
-            }
-        }
-        self.maybe_start_job(now, obs);
-        self.debug_check();
-    }
-
-    /// Accounts for the trailing idle period (and any final background
-    /// cleaning) at the end of a simulation.
-    pub fn finish(&mut self, end: SimTime) {
-        self.finish_obs(end, &mut NoopObserver);
-    }
-
-    /// [`finish`](Self::finish), reporting trailing cleaning completions to
-    /// an observer.
-    pub fn finish_obs<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
-        let _ = self.settle(end, obs);
-    }
-
-    /// Simulates a power failure at `at` followed by crash recovery.
-    ///
-    /// The power loss truncates any in-flight cleaning: the victim's live
-    /// data was already relocated (copy-before-erase, as MFFS compaction
-    /// does), so no data is lost, but the victim is left un-erased — an
-    /// *orphaned* fully-dead segment. Recovery then runs the MFFS log
-    /// scan: every occupied slot's block header is read back to rebuild
-    /// the logical-to-physical map, and the orphaned segment (detected by
-    /// the scan) is reclaimed with a fresh erase. The card is busy for the
-    /// whole recovery; time and energy are charged to the `"recover"`
-    /// state and [`FlashCardCounters::recovery_time`].
-    pub fn power_fail(&mut self, at: SimTime) -> Service {
-        self.power_fail_obs(at, &mut NoopObserver)
-    }
-
-    /// [`power_fail`](Self::power_fail), reporting the orphaned-job reclaim
-    /// (a [`Event::FlashCleanEnd`]) to an observer.
-    pub fn power_fail_obs<O: Observer>(&mut self, at: SimTime, obs: &mut O) -> Service {
-        // Background cleaning progressed until the lights went out.
-        let start = self.settle(at, obs);
-        let orphan = self.job.take();
-
-        // Log scan: header read per occupied (live or dead) slot.
-        let census = self.census();
-        let scan_bytes = (census.live + census.dead) * RECOVERY_HEADER_BYTES;
-        let mut dur = self.config.params.access_latency
-            + self
-                .config
-                .params
-                .copy_read_bandwidth
-                .transfer_time(scan_bytes);
-        // Orphaned-segment reclaim: the interrupted victim is re-erased.
-        if let Some(job) = orphan {
-            dur += self.config.params.erase_time;
-            self.finish_job(start + dur, job.victim, false, job.started, obs);
-        }
-        let end = start + dur;
-        self.meter
-            .charge_for("recover", self.config.params.active_power, dur);
-        self.counters.power_failures += 1;
-        self.counters.recovery_time += dur;
-        self.free_at = self.free_at.max(end);
-        // Recovered-state invariants: the map, segment states, and census
-        // must all be consistent after replay.
-        self.check_invariants();
-        Service { start, end }
     }
 
     fn frontier_full(&self) -> bool {
@@ -1614,11 +1499,112 @@ impl FlashCardStore {
     }
 }
 
+impl Device for FlashCardStore {
+    /// Serves a read or write of `req.blocks` blocks at `req.lbn`,
+    /// reporting cleaning, fault, and bit-error activity to `obs`; a write
+    /// refused at end of life returns an empty interval at `now`.
+    fn submit<O: Observer>(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        obs: &mut O,
+    ) -> (Service, Result<(), DeviceError>) {
+        match req.dir {
+            Dir::Read => self.read_blocks(now, req.lbn, req.blocks, obs),
+            Dir::Write => match self.write_blocks(now, req.lbn, req.blocks, obs) {
+                Ok(svc) => (svc, Ok(())),
+                Err(e) => (
+                    Service {
+                        start: now,
+                        end: now,
+                    },
+                    Err(e),
+                ),
+            },
+        }
+    }
+
+    /// Marks the blocks dead; a drained erased pool starts a background
+    /// cleaning job stamped `now`.
+    fn trim<O: Observer>(&mut self, now: SimTime, lbn: u64, blocks: u32, obs: &mut O) {
+        for i in 0..u64::from(blocks) {
+            if let Some(loc) = self.map.remove(&(lbn + i)) {
+                self.segments[loc.seg as usize].live -= 1;
+                self.live_blocks -= 1;
+            }
+        }
+        self.maybe_start_job(now, obs);
+        self.debug_check();
+    }
+
+    /// Simulates a power failure at `at` followed by crash recovery.
+    ///
+    /// The power loss truncates any in-flight cleaning: the victim's live
+    /// data was already relocated (copy-before-erase, as MFFS compaction
+    /// does), so no data is lost, but the victim is left un-erased — an
+    /// *orphaned* fully-dead segment. Recovery then runs the MFFS log
+    /// scan: every occupied slot's block header is read back to rebuild
+    /// the logical-to-physical map, and the orphaned segment (detected by
+    /// the scan) is reclaimed with a fresh erase. The card is busy for the
+    /// whole recovery; time and energy are charged to the `"recover"`
+    /// state and [`FlashCardCounters::recovery_time`].
+    fn power_fail<O: Observer>(&mut self, at: SimTime, obs: &mut O) -> Service {
+        // Background cleaning progressed until the lights went out.
+        let start = self.settle(at, obs);
+        let orphan = self.job.take();
+
+        // Log scan: header read per occupied (live or dead) slot.
+        let census = self.census();
+        let scan_bytes = (census.live + census.dead) * RECOVERY_HEADER_BYTES;
+        let mut dur = self.config.params.access_latency
+            + self
+                .config
+                .params
+                .copy_read_bandwidth
+                .transfer_time(scan_bytes);
+        // Orphaned-segment reclaim: the interrupted victim is re-erased.
+        if let Some(job) = orphan {
+            dur += self.config.params.erase_time;
+            self.finish_job(start + dur, job.victim, false, job.started, obs);
+        }
+        let end = start + dur;
+        self.meter
+            .charge_for("recover", self.config.params.active_power, dur);
+        self.counters.power_failures += 1;
+        self.counters.recovery_time += dur;
+        self.free_at = self.free_at.max(end);
+        // Recovered-state invariants: the map, segment states, and census
+        // must all be consistent after replay.
+        self.check_invariants();
+        Service { start, end }
+    }
+
+    /// Settles the trailing idle period, reporting trailing cleaning
+    /// completions to `obs`.
+    fn settle_to<O: Observer>(&mut self, end: SimTime, obs: &mut O) {
+        let _ = self.settle(end, obs);
+    }
+
+    fn clear_metrics(&mut self, reset_wear: bool) {
+        self.reset_metrics(reset_wear);
+    }
+
+    fn maps_blocks(&self) -> bool {
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mobistore_device::params::intel_datasheet;
     use mobistore_sim::units::KIB;
+
+    /// Trims at the card's last-activity instant.
+    fn trim(card: &mut FlashCardStore, lbn: u64, blocks: u32) {
+        let now = card.free_at;
+        card.trim_obs(now, lbn, blocks, &mut NoopObserver);
+    }
 
     /// A small card: 4 segments x 128 KB = 512 KB, 1-KB blocks,
     /// 128 blocks/segment.
@@ -1645,7 +1631,7 @@ mod tests {
     #[test]
     fn write_maps_blocks_and_consumes_space() {
         let mut card = small_card(CleanerMode::Background);
-        let svc = card.write(SimTime::ZERO, 0, 8);
+        let svc = card.try_write(SimTime::ZERO, 0, 8).unwrap();
         assert_eq!(card.live_blocks(), 8);
         assert_eq!(card.free_blocks(), 504);
         // 8 KB at 214 KB/s.
@@ -1657,9 +1643,9 @@ mod tests {
     #[test]
     fn overwrite_creates_dead_blocks_not_live() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 8);
+        card.try_write(SimTime::ZERO, 0, 8).unwrap();
         let t = SimTime::from_secs_f64(10.0);
-        card.write(t, 0, 8);
+        card.try_write(t, 0, 8).unwrap();
         assert_eq!(card.live_blocks(), 8, "overwrite does not grow live data");
         assert_eq!(card.free_blocks(), 512 - 16, "but consumes new slots");
         card.check_invariants();
@@ -1668,9 +1654,9 @@ mod tests {
     #[test]
     fn read_costs_time_but_no_space() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 4);
+        card.try_write(SimTime::ZERO, 0, 4).unwrap();
         let free = card.free_blocks();
-        let svc = card.read(SimTime::from_secs_f64(5.0), 0, 4);
+        let svc = card.try_read(SimTime::from_secs_f64(5.0), 0, 4).0;
         assert_eq!(card.free_blocks(), free);
         let secs = (svc.end - svc.start).as_secs_f64();
         assert!((secs - 4.0 / 9765.0).abs() < 1e-6, "{secs}");
@@ -1679,11 +1665,11 @@ mod tests {
     #[test]
     fn trim_reduces_live() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 8);
-        card.trim(0, 4);
+        card.try_write(SimTime::ZERO, 0, 8).unwrap();
+        trim(&mut card, 0, 4);
         assert_eq!(card.live_blocks(), 4);
         // Trimming unmapped blocks is a no-op.
-        card.trim(100, 4);
+        trim(&mut card, 100, 4);
         assert_eq!(card.live_blocks(), 4);
         card.check_invariants();
     }
@@ -1718,7 +1704,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut lbn = 1000;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn, 1).end;
+            t = card.try_write(t, lbn, 1).unwrap().end;
             lbn += 1;
             assert!(lbn < 2000, "cleaning never triggered");
         }
@@ -1747,7 +1733,7 @@ mod tests {
             card.preload_aged(0..live);
             let mut t = SimTime::ZERO;
             for lbn in 0..600 {
-                t = card.write(t, lbn % live, 1).end;
+                t = card.try_write(t, lbn % live, 1).unwrap().end;
             }
             card.check_invariants();
             card.meter().category("clean").get()
@@ -1769,14 +1755,14 @@ mod tests {
         let mut card = small_card(CleanerMode::Background);
         // Fill three segments; the advance into segment 3 drains the erased
         // pool and launches a background job.
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 128); // segment 0 fully dead: the obvious victim
-        t = card.write(t, 256, 129).end; // fills seg 2, opens seg 3
+        let mut t = card.try_write(SimTime::ZERO, 0, 128).unwrap().end;
+        t = card.try_write(t, 128, 128).unwrap().end;
+        trim(&mut card, 0, 128); // segment 0 fully dead: the obvious victim
+        t = card.try_write(t, 256, 129).unwrap().end; // fills seg 2, opens seg 3
         assert_eq!(card.counters().erasures, 0, "job not finished yet");
         // A long idle gap lets the job copy (nothing) and erase.
         let later = t + SimDuration::from_secs(60);
-        let svc = card.read(later, 128, 1);
+        let svc = card.try_read(later, 128, 1).0;
         assert_eq!(svc.start, later, "reads never wait for cleaning");
         assert_eq!(card.counters().erasures, 1, "idle gap erased the victim");
         assert!(card.meter().category("clean").get() > 0.0);
@@ -1792,7 +1778,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for round in 0u64..3 {
             for lbn in 0..300 {
-                t = card.write(t, lbn, 1).end;
+                t = card.try_write(t, lbn, 1).unwrap().end;
                 let _ = round;
             }
         }
@@ -1808,7 +1794,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut max_response = SimDuration::ZERO;
         for lbn in 0..300 {
-            let svc = card.write(t, lbn, 1);
+            let svc = card.try_write(t, lbn, 1).unwrap();
             max_response = max_response.max(svc.end - t);
             t = svc.end;
         }
@@ -1822,15 +1808,15 @@ mod tests {
     fn greedy_picks_lowest_utilization_victim() {
         let mut card = small_card(CleanerMode::OnDemand);
         // Segment 0: 128 blocks, then kill 100 (28 live).
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
+        let mut t = card.try_write(SimTime::ZERO, 0, 128).unwrap().end;
         // Segment 1: 128 blocks, kill 10 (118 live).
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 100);
-        card.trim(128, 10);
+        t = card.try_write(t, 128, 128).unwrap().end;
+        trim(&mut card, 0, 100);
+        trim(&mut card, 128, 10);
         // Fill until the pool drains and the first cleaning fires.
         let mut lbn = 300;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn, 1).end;
+            t = card.try_write(t, lbn, 1).unwrap().end;
             lbn += 1;
             assert!(lbn < 900, "cleaning never triggered");
         }
@@ -1846,7 +1832,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for round in 0..3 {
             for lbn in 0..200 {
-                t = card.write(t, lbn, 1).end;
+                t = card.try_write(t, lbn, 1).unwrap().end;
             }
             // All 300 lbns must stay live through arbitrary cleaning.
             assert_eq!(card.live_blocks(), 300, "round {round}");
@@ -1860,10 +1846,10 @@ mod tests {
         card.preload(0..300);
         let mut t = SimTime::ZERO;
         for lbn in 0..200 {
-            t = card.write(t, lbn, 1).end;
+            t = card.try_write(t, lbn, 1).unwrap().end;
         }
         for lbn in 0..200 {
-            t = card.write(t, lbn, 1).end;
+            t = card.try_write(t, lbn, 1).unwrap().end;
         }
         let wear = card.wear();
         assert!(wear.total >= 1);
@@ -1893,7 +1879,7 @@ mod tests {
                 // Tight interarrival so cleaning mostly cannot hide in idle
                 // gaps.
                 let at = t + SimDuration::from_micros(100);
-                t = card.write(at, lbn % preload, 1).end;
+                t = card.try_write(at, lbn % preload, 1).unwrap().end;
                 lbn += 7; // Stride spreads overwrites across segments.
             }
             card.check_invariants();
@@ -1930,13 +1916,13 @@ mod tests {
             queueing: mobistore_device::QueueDiscipline::Fifo,
         });
         // Fill segments 0 and 1; segment 0 is oldest.
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 20); // seg 0: 108 live
-        card.trim(128, 100); // seg 1: 28 live (greedy would pick this)
+        let mut t = card.try_write(SimTime::ZERO, 0, 128).unwrap().end;
+        t = card.try_write(t, 128, 128).unwrap().end;
+        trim(&mut card, 0, 20); // seg 0: 108 live
+        trim(&mut card, 128, 100); // seg 1: 28 live (greedy would pick this)
         let mut lbn = 300;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn, 1).end;
+            t = card.try_write(t, lbn, 1).unwrap().end;
             lbn += 1;
             assert!(lbn < 900, "cleaning never triggered");
         }
@@ -1963,7 +1949,7 @@ mod tests {
             let mut t = SimTime::ZERO;
             for i in 0..20_000u64 {
                 // Overwrite a tiny hot set (32 blocks) relentlessly.
-                t = card.write(t, i % 32, 1).end;
+                t = card.try_write(t, i % 32, 1).unwrap().end;
             }
             card.check_invariants();
             card.wear()
@@ -1993,7 +1979,7 @@ mod tests {
         card.preload(0..300);
         let mut t = SimTime::ZERO;
         for lbn in 0..250 {
-            t = card.write(t, lbn, 1).end;
+            t = card.try_write(t, lbn, 1).unwrap().end;
         }
         assert!(card.wear().total > 0);
         card.reset_metrics(false);
@@ -2006,20 +1992,20 @@ mod tests {
     #[test]
     fn trim_past_eof_and_double_trim_are_noops() {
         let mut card = small_card(CleanerMode::Background);
-        card.write(SimTime::ZERO, 0, 8);
+        card.try_write(SimTime::ZERO, 0, 8).unwrap();
         // The range extends far past the last mapped block: only the
         // mapped tail is dropped, the rest is silently ignored.
-        card.trim(4, 1000);
+        trim(&mut card, 4, 1000);
         assert_eq!(card.live_blocks(), 4);
         let census = card.census();
         assert_eq!(census.dead, 4);
         // Trimming the same (now dead) range again changes nothing — no
         // double-decrement of live counts.
-        card.trim(4, 1000);
+        trim(&mut card, 4, 1000);
         assert_eq!(card.live_blocks(), 4);
         assert_eq!(card.census(), census);
         // A trim entirely past EOF is a pure no-op.
-        card.trim(1 << 40, 16);
+        trim(&mut card, 1 << 40, 16);
         assert_eq!(card.census(), census);
         assert_eq!(census.total(), card.capacity_blocks());
         card.check_invariants();
@@ -2042,7 +2028,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut lbn = 0u64;
         while card.counters().erasures == 0 {
-            t = card.write(t, lbn % 256, 1).end;
+            t = card.try_write(t, lbn % 256, 1).unwrap().end;
             lbn += 1;
             assert!(lbn < 2000, "cleaning never triggered");
             assert_eq!(card.live_blocks(), 256, "overwrites keep live constant");
@@ -2058,8 +2044,8 @@ mod tests {
         };
         let mut clean = small_card(CleanerMode::Background);
         let mut faulty = small_card(CleanerMode::Background).with_faults(fault);
-        let ok = clean.write(SimTime::ZERO, 0, 8);
-        let slow = faulty.write(SimTime::ZERO, 0, 8);
+        let ok = clean.try_write(SimTime::ZERO, 0, 8).unwrap();
+        let slow = faulty.try_write(SimTime::ZERO, 0, 8).unwrap();
         // At rate 1.0 every attempt fails until the controller gives up,
         // so each write pays exactly max_retries retries.
         assert_eq!(
@@ -2085,7 +2071,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut n = 0u64;
         while card.counters().segments_retired == 0 {
-            t = card.write(t, n % 100, 1).end;
+            t = card.try_write(t, n % 100, 1).unwrap().end;
             n += 1;
             assert!(n < 4000, "no segment was ever retired");
         }
@@ -2103,7 +2089,7 @@ mod tests {
         // the card keeps serving writes.
         let before = card.counters().erase_retries;
         for _ in 0..600 {
-            t = card.write(t, n % 100, 1).end;
+            t = card.try_write(t, n % 100, 1).unwrap().end;
             n += 1;
         }
         assert_eq!(card.counters().segments_retired, 1, "spare guard held");
@@ -2122,12 +2108,12 @@ mod tests {
         // Ever-growing working set: once every full segment is fully live
         // nothing is cleanable and the card must go read-only, not panic.
         let err = loop {
-            match card.try_write_obs(t, lbn, 1, &mut obs) {
-                Ok(svc) => {
+            match card.submit(t, Request::new(Dir::Write, lbn, 1, KIB), &mut obs) {
+                (svc, Ok(())) => {
                     t = svc.end;
                     lbn += 1;
                 }
-                Err(e) => break e,
+                (_, Err(e)) => break e,
             }
             assert!(lbn < 1000, "card never filled");
         };
@@ -2142,17 +2128,17 @@ mod tests {
         assert_eq!(card.counters().eol_write_rejections, 2);
 
         // Reads and trims are still served; state stays consistent.
-        let svc = card.read(t, 0, 1);
+        let svc = card.try_read(t, 0, 1).0;
         assert!(svc.end > svc.start);
         let live = card.live_blocks();
-        card.trim(0, 1);
+        trim(&mut card, 0, 1);
         assert_eq!(card.live_blocks(), live - 1);
         card.check_invariants();
 
         // End of life is sticky: freed space does not resurrect the card.
         assert!(card.try_write(t, 0, 1).is_err());
 
-        // The panicking wrapper reports the same condition.
+        // The error names the condition.
         let msg = e2.to_string();
         assert!(msg.contains("read-only at end of life"), "{msg}");
     }
@@ -2172,7 +2158,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for round in 0..3 {
             for lbn in 0..200 {
-                t = card.write(t, lbn, 1).end;
+                t = card.try_write(t, lbn, 1).unwrap().end;
             }
             let _ = round;
         }
@@ -2206,7 +2192,7 @@ mod tests {
         let mut shadow = ShadowModel::new();
         let mut t = SimTime::ZERO;
         for lbn in 0..64 {
-            t = card.write(t, lbn, 1).end;
+            t = card.try_write(t, lbn, 1).unwrap().end;
             shadow.write(lbn, 1);
         }
         let observed: Vec<(u64, u64)> = card
@@ -2236,15 +2222,15 @@ mod tests {
         let mut card = small_card(CleanerMode::Background);
         // Same setup as background_cleaning_runs_in_idle_gaps: draining
         // the erased pool launches a job whose victim is fully dead.
-        let mut t = card.write(SimTime::ZERO, 0, 128).end;
-        t = card.write(t, 128, 128).end;
-        card.trim(0, 128);
-        t = card.write(t, 256, 129).end;
+        let mut t = card.try_write(SimTime::ZERO, 0, 128).unwrap().end;
+        t = card.try_write(t, 128, 128).unwrap().end;
+        trim(&mut card, 0, 128);
+        t = card.try_write(t, 256, 129).unwrap().end;
         assert_eq!(card.counters().erasures, 0, "erase still in flight");
         // The failure lands 10 ms into a ~1.6 s erase, orphaning the
         // victim; recovery's log scan detects the un-erased fully-dead
         // segment and reclaims it with a fresh erase.
-        let svc = card.power_fail(t + SimDuration::from_millis(10));
+        let svc = card.power_fail(t + SimDuration::from_millis(10), &mut NoopObserver);
         assert_eq!(card.counters().power_failures, 1);
         assert_eq!(card.counters().erasures, 1, "orphan re-erased by recovery");
         assert!(card.counters().recovery_time > SimDuration::ZERO);
@@ -2253,7 +2239,7 @@ mod tests {
         card.check_invariants();
         // The reclaimed segment is writable again.
         let free = card.free_blocks();
-        card.write(svc.end, 600, 8);
+        card.try_write(svc.end, 600, 8).unwrap();
         assert_eq!(card.free_blocks(), free - 8);
     }
 
@@ -2264,10 +2250,10 @@ mod tests {
         let mut tp = SimTime::ZERO;
         let mut tq = SimTime::ZERO;
         for lbn in 0..200u64 {
-            tp = plain.write(tp, lbn % 80, 1).end;
-            tq = quiet.write(tq, lbn % 80, 1).end;
-            let rp = plain.read(tp, lbn % 80, 1);
-            let rq = quiet.read(tq, lbn % 80, 1);
+            tp = plain.try_write(tp, lbn % 80, 1).unwrap().end;
+            tq = quiet.try_write(tq, lbn % 80, 1).unwrap().end;
+            let rp = plain.try_read(tp, lbn % 80, 1).0;
+            let rq = quiet.try_read(tq, lbn % 80, 1).0;
             assert_eq!(rp, rq);
             tp = rp.end;
             tq = rq.end;
@@ -2287,11 +2273,11 @@ mod tests {
         };
         let mut clean = small_card(CleanerMode::Background);
         let mut noisy = small_card(CleanerMode::Background).with_integrity(cfg);
-        clean.write(SimTime::ZERO, 0, 8);
-        noisy.write(SimTime::ZERO, 0, 8);
+        clean.try_write(SimTime::ZERO, 0, 8).unwrap();
+        noisy.try_write(SimTime::ZERO, 0, 8).unwrap();
         let t = SimTime::from_secs_f64(1.0);
-        let ok = clean.read(t, 0, 8);
-        let slow = noisy.read(t, 0, 8);
+        let ok = clean.try_read(t, 0, 8).0;
+        let slow = noisy.try_read(t, 0, 8).0;
         assert!(noisy.counters().ecc_corrected > 0);
         let extra = (slow.end - slow.start).saturating_sub(ok.end - ok.start);
         assert_eq!(
@@ -2312,9 +2298,9 @@ mod tests {
         };
         let mut card = small_card(CleanerMode::Background).with_integrity(cfg);
         let mut obs = CountingObserver::default();
-        card.write(SimTime::ZERO, 0, 4);
+        card.try_write(SimTime::ZERO, 0, 4).unwrap();
         let t = SimTime::from_secs_f64(1.0);
-        let (svc, res) = card.try_read_obs(t, 0, 4, &mut obs);
+        let (svc, res) = card.submit(t, Request::new(Dir::Read, 0, 4, KIB), &mut obs);
         assert!(svc.end > svc.start, "time is accounted even on failure");
         let err = res.expect_err("λ=50 must exceed the retry threshold");
         assert!(matches!(err, DeviceError::Uncorrectable { lbn: 0, .. }));
@@ -2342,11 +2328,14 @@ mod tests {
         };
         let mut card = small_card(CleanerMode::Background).with_integrity(cfg);
         let mut obs = CountingObserver::default();
-        card.write(SimTime::ZERO, 0, 8);
+        card.try_write(SimTime::ZERO, 0, 8).unwrap();
         let before = card.snapshot();
         let mut t = SimTime::from_secs_f64(1.0);
         for _ in 0..8 {
-            t = card.read_obs(t, 0, 8, &mut obs).end;
+            t = card
+                .submit(t, Request::new(Dir::Read, 0, 8, KIB), &mut obs)
+                .0
+                .end;
         }
         assert!(card.counters().blocks_relocated > 0);
         assert_eq!(
@@ -2380,11 +2369,11 @@ mod tests {
         let scrub = IntegrityConfig::none().with_scrub(SimDuration::from_secs(60));
         let mut plain = small_card(CleanerMode::Background);
         let mut scrubbed = small_card(CleanerMode::Background).with_integrity(scrub);
-        plain.write(SimTime::ZERO, 0, 64);
-        scrubbed.write(SimTime::ZERO, 0, 64);
+        plain.try_write(SimTime::ZERO, 0, 64).unwrap();
+        scrubbed.try_write(SimTime::ZERO, 0, 64).unwrap();
         let t = SimTime::from_secs_f64(600.0); // ~9 scrub passes fit
-        let rp = plain.read(t, 0, 64);
-        let rs = scrubbed.read(t, 0, 64);
+        let rp = plain.try_read(t, 0, 64).0;
+        let rs = scrubbed.try_read(t, 0, 64).0;
         assert_eq!(rp, rs, "scrubbing clean data never delays reads");
         assert_eq!(plain.snapshot(), scrubbed.snapshot());
         assert!(scrubbed.counters().scrub_passes > 0);
@@ -2410,9 +2399,9 @@ mod tests {
         .with_scrub(SimDuration::from_secs(3600));
         let mut card = small_card(CleanerMode::Background).with_integrity(cfg);
         let mut obs = CountingObserver::default();
-        card.write(SimTime::ZERO, 0, 32);
+        card.try_write(SimTime::ZERO, 0, 32).unwrap();
         // A day of idle: scrub passes sweep the data as λ climbs.
-        card.finish_obs(SimTime::ZERO + SimDuration::from_days(1), &mut obs);
+        card.settle_to(SimTime::ZERO + SimDuration::from_days(1), &mut obs);
         assert!(card.counters().scrub_passes > 0);
         assert!(
             card.counters().uncorrectable_reads > 0,
@@ -2431,8 +2420,8 @@ mod tests {
         };
         let mut clean = small_card(CleanerMode::Background);
         let mut faulty = small_card(CleanerMode::Background).with_faults(fault);
-        let ok = clean.write(SimTime::ZERO, 0, 8);
-        let slow = faulty.write(SimTime::ZERO, 0, 8);
+        let ok = clean.try_write(SimTime::ZERO, 0, 8).unwrap();
+        let slow = faulty.try_write(SimTime::ZERO, 0, 8).unwrap();
         // The backoff counter accounts for exactly the extra service time.
         assert_eq!(
             faulty.counters().write_retry_backoff,

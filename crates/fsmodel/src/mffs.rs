@@ -25,6 +25,7 @@ use std::collections::HashMap;
 
 use mobistore_device::params::FlashCardParams;
 use mobistore_flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
+use mobistore_sim::obs::NoopObserver;
 use mobistore_sim::time::{SimDuration, SimTime};
 
 use crate::compress::{Compressor, DataClass};
@@ -193,7 +194,10 @@ impl FlashCardTestbed {
             entry.bytes as f64 * self.mffs.write_file_coeff
                 + self.cumulative_written as f64 * self.mffs.cumulative_coeff,
         );
-        let svc = self.card.write(self.clock, lbn, blocks);
+        let svc = self
+            .card
+            .try_write(self.clock, lbn, blocks)
+            .unwrap_or_else(|e| panic!("{e}"));
         let device = svc.response(self.clock);
         self.clock =
             svc.end + anomaly + self.mffs.base_write + self.mffs.compressor.compress_time(bytes);
@@ -228,7 +232,10 @@ impl FlashCardTestbed {
             entry.bytes as f64 * self.mffs.write_file_coeff
                 + self.cumulative_written as f64 * self.mffs.cumulative_coeff,
         );
-        let svc = self.card.write(self.clock, lbn, blocks);
+        let svc = self
+            .card
+            .try_write(self.clock, lbn, blocks)
+            .unwrap_or_else(|e| panic!("{e}"));
         let device = svc.response(self.clock);
         self.clock =
             svc.end + anomaly + self.mffs.base_write + self.mffs.compressor.compress_time(bytes);
@@ -269,7 +276,8 @@ impl FlashCardTestbed {
             let blocks = stored.div_ceil(BLOCK).max(1) as u32;
             let svc = self
                 .card
-                .read(self.clock, entry.base_lbn + i * chunk_bytes / BLOCK, blocks);
+                .try_read(self.clock, entry.base_lbn + i * chunk_bytes / BLOCK, blocks)
+                .0;
             let device = svc.response(self.clock);
             let anomaly =
                 SimDuration::from_secs_f64(entry.bytes as f64 * self.mffs.read_file_coeff);
@@ -298,7 +306,8 @@ impl FlashCardTestbed {
         let blocks = stored.div_ceil(BLOCK).max(1) as u32;
         let svc = self
             .card
-            .read(self.clock, entry.base_lbn + offset / BLOCK, blocks);
+            .try_read(self.clock, entry.base_lbn + offset / BLOCK, blocks)
+            .0;
         let device = svc.response(self.clock);
         let anomaly = SimDuration::from_secs_f64(entry.bytes as f64 * self.mffs.read_file_coeff);
         self.clock = svc.end + self.mffs.base_read + anomaly;
@@ -311,7 +320,8 @@ impl FlashCardTestbed {
         if let Some(entry) = self.files.remove(&handle) {
             if entry.base_lbn != u64::MAX {
                 let blocks = entry.bytes.div_ceil(BLOCK) as u32;
-                self.card.trim(entry.base_lbn, blocks);
+                self.card
+                    .trim_obs(self.clock, entry.base_lbn, blocks, &mut NoopObserver);
             }
         }
     }

@@ -69,7 +69,8 @@ pub fn write_text(trace: &Trace) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line on any malformed
-/// input, missing header, or out-of-order timestamps.
+/// input, missing header, out-of-order timestamps, or a block range whose
+/// end (`lbn + blocks`) overflows `u64`.
 pub fn read_text(text: &str) -> Result<Trace, ParseError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| ParseError {
@@ -117,6 +118,15 @@ pub fn read_text(text: &str) -> Result<Trace, ParseError> {
             message: format!("malformed record: {line:?}"),
         })?;
 
+        if op.lbn.checked_add(u64::from(op.blocks)).is_none() {
+            return Err(ParseError {
+                line: lineno,
+                message: format!(
+                    "block range overflows: lbn {} + {} blocks",
+                    op.lbn, op.blocks
+                ),
+            });
+        }
         if op.time.as_nanos() < last_time {
             return Err(ParseError {
                 line: lineno,
@@ -186,6 +196,17 @@ mod tests {
         let err = read_text(text).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("malformed"));
+    }
+
+    #[test]
+    fn overflowing_block_range_names_line() {
+        let text = "# mobistore trace v1 block_size=1024\n0 read 18446744073709551615 2 1\n";
+        let err = read_text(text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("overflows"), "{}", err.message);
+        // The last representable range still parses.
+        let text = "# mobistore trace v1 block_size=1024\n0 read 18446744073709551613 2 1\n";
+        assert!(read_text(text).is_ok());
     }
 
     #[test]

@@ -96,8 +96,17 @@ pub fn summary() -> CacheSummary {
 mod tests {
     use super::*;
 
+    /// The counters are process-wide: tests that look up traces take this
+    /// lock so one test's misses never land between another's snapshots.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn repeated_lookups_share_one_allocation() {
+        let _serial = serial();
         let a = trace(Workload::Synth, 0.011, 77);
         let b = trace(Workload::Synth, 0.011, 77);
         assert!(Arc::ptr_eq(&a, &b), "same key must return the same Arc");
@@ -106,6 +115,7 @@ mod tests {
 
     #[test]
     fn distinct_seeds_get_distinct_traces() {
+        let _serial = serial();
         let a = trace(Workload::Synth, 0.011, 1);
         let b = trace(Workload::Synth, 0.011, 2);
         assert!(!Arc::ptr_eq(&a, &b));
@@ -114,6 +124,7 @@ mod tests {
 
     #[test]
     fn cached_equals_fresh_generation() {
+        let _serial = serial();
         let cached = trace(Workload::Synth, 0.012, 3);
         let fresh = Workload::Synth.generate_scaled(0.012, 3);
         assert_eq!(cached.ops, fresh.ops);
@@ -122,6 +133,7 @@ mod tests {
 
     #[test]
     fn summary_counts_misses_once_per_key() {
+        let _serial = serial();
         let before = summary();
         let _ = trace(Workload::Synth, 0.013, 5);
         let _ = trace(Workload::Synth, 0.013, 5);
@@ -133,6 +145,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_generate_once() {
+        let _serial = serial();
         let results =
             mobistore_sim::exec::parallel_map(&[0u32; 8], |_| trace(Workload::Synth, 0.014, 9));
         let first = &results[0];

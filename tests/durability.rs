@@ -1,20 +1,17 @@
 //! Durability acceptance tests: the `repro durability` sweep must be
-//! byte-identical at any `--jobs` count, and the array layer's
-//! power-failure recovery must be idempotent — recovering twice from the
-//! same crash leaves exactly the state one recovery produced.
+//! byte-identical at any `--jobs` count, and a lone run must reproduce the
+//! rendered sweep. (The array's recovery idempotence is checked with every
+//! other backend's in `tests/properties.rs`.)
 //!
 //! The jobs test is one `#[test]` on purpose: `exec::set_jobs` is
 //! process-global, and the default test harness runs tests concurrently —
 //! splitting the serial and parallel halves into separate tests would
 //! race on the worker-count override.
 
-use mobistore::device::array::{ArrayDevice, ChildClass};
 use mobistore::experiments::durability::{self, DurabilityOptions};
 use mobistore::experiments::render::{render_target, RenderOptions};
 use mobistore::experiments::Scale;
 use mobistore::sim::exec;
-use mobistore::sim::fault::DeathSchedule;
-use mobistore::sim::time::SimTime;
 
 fn sweep_options() -> DurabilityOptions {
     DurabilityOptions {
@@ -68,57 +65,4 @@ fn durability_runs_alone_match_the_rendered_sweep() {
     let a = format!("{}", durability::run(Scale::quick(), &opts));
     let b = format!("{}", durability::run(Scale::quick(), &opts));
     assert_eq!(a, b);
-}
-
-/// Builds a 2+1 flash-disk array with one scheduled mid-run death, loads
-/// it, and writes a burst of blocks up to `crash`.
-fn arrange_array(crash: SimTime) -> ArrayDevice {
-    let children = [
-        ChildClass::FlashDisk,
-        ChildClass::FlashDisk,
-        ChildClass::FlashDisk,
-    ];
-    let mut arr = ArrayDevice::new(2, 1, &children, 1024)
-        .with_deaths(DeathSchedule::explicit(vec![
-            Some(SimTime::from_secs_f64(2.0)),
-            None,
-            None,
-        ]))
-        .with_rebuild_rate(32.0);
-    arr.preload(0..64);
-    let mut t = SimTime::from_secs_f64(0.5);
-    for lbn in 0..48u64 {
-        if t >= crash {
-            break;
-        }
-        arr.try_write(t, lbn, 1).expect("write under <= m losses");
-        t = SimTime::from_nanos(t.as_nanos() + 50_000_000);
-    }
-    arr
-}
-
-#[test]
-fn array_recovery_is_idempotent() {
-    let crash = SimTime::from_secs_f64(3.0);
-
-    // One recovery.
-    let mut once = arrange_array(crash);
-    once.power_fail(crash);
-    let snap_once = once.snapshot();
-
-    // Recovering again from the same instant must change nothing: the
-    // same blocks, the same generations, the same unreadable set.
-    let mut twice = arrange_array(crash);
-    twice.power_fail(crash);
-    twice.power_fail(crash);
-    assert_eq!(snap_once, twice.snapshot());
-    assert_eq!(once.unreadable_blocks(), twice.unreadable_blocks());
-
-    // And recovery never loses acked data under <= m deaths.
-    assert!(once.unreadable_blocks().is_empty());
-    let mut readable = once;
-    for lbn in 0..48u64 {
-        let (_, r) = readable.try_read(SimTime::from_secs_f64(10.0), lbn, 1);
-        assert!(r.is_ok(), "block {lbn} unreadable after recovery");
-    }
 }

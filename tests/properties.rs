@@ -11,8 +11,9 @@ use std::collections::{HashMap, HashSet};
 
 use mobistore::cache::lru::LruSet;
 use mobistore::device::params::intel_datasheet;
-use mobistore::device::QueueDiscipline;
+use mobistore::device::{Device, DeviceError, Dir, QueueDiscipline, Request};
 use mobistore::flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
+use mobistore::sim::obs::NoopObserver;
 use mobistore::sim::rng::SimRng;
 use mobistore::sim::stats::OnlineStats;
 use mobistore::sim::time::{SimDuration, SimTime};
@@ -168,19 +169,19 @@ fn flash_card_invariants_hold() {
         for _ in 0..n_ops {
             match card_op(&mut rng) {
                 CardOp::Write { lbn, blocks } => {
-                    let svc = card.write(now, lbn, blocks);
+                    let svc = card.try_write(now, lbn, blocks).expect("card has room");
                     assert!(svc.end >= svc.start, "case {case}");
                     now = now.max(svc.end);
                     model.extend(lbn..lbn + u64::from(blocks));
                 }
                 CardOp::Trim { lbn, blocks } => {
-                    card.trim(lbn, blocks);
+                    card.trim_obs(now, lbn, blocks, &mut NoopObserver);
                     for b in lbn..lbn + u64::from(blocks) {
                         model.remove(&b);
                     }
                 }
                 CardOp::Read { lbn, blocks } => {
-                    let svc = card.read(now, lbn, blocks);
+                    let svc = card.try_read(now, lbn, blocks).0;
                     now = now.max(svc.end);
                 }
                 CardOp::Idle { ms } => now += SimDuration::from_millis(ms),
@@ -242,25 +243,25 @@ fn flash_card_invariants_hold_under_faults() {
         for _ in 0..n_ops {
             match card_op(&mut rng) {
                 CardOp::Write { lbn, blocks } => {
-                    let svc = card.write(now, lbn, blocks);
+                    let svc = card.try_write(now, lbn, blocks).expect("card has room");
                     now = now.max(svc.end);
                     model.extend(lbn..lbn + u64::from(blocks));
                 }
                 CardOp::Trim { lbn, blocks } => {
-                    card.trim(lbn, blocks);
+                    card.trim_obs(now, lbn, blocks, &mut NoopObserver);
                     for b in lbn..lbn + u64::from(blocks) {
                         model.remove(&b);
                     }
                 }
                 CardOp::Read { lbn, blocks } => {
-                    let svc = card.read(now, lbn, blocks);
+                    let svc = card.try_read(now, lbn, blocks).0;
                     now = now.max(svc.end);
                 }
                 CardOp::Idle { ms } => now += SimDuration::from_millis(ms),
             }
             // Occasionally yank the power mid-whatever-was-happening.
             if rng.chance(0.1) {
-                let svc = card.power_fail(now);
+                let svc = card.power_fail(now, &mut NoopObserver);
                 now = now.max(svc.end);
             }
             card.check_invariants();
@@ -316,7 +317,6 @@ fn fd_op(rng: &mut SimRng) -> FdOp {
 fn flash_disk_pool_is_conserved() {
     use mobistore::device::flashdisk::FlashDisk;
     use mobistore::device::params::sdp5a_datasheet;
-    use mobistore::device::Dir;
 
     for case in 0..256u64 {
         let mut rng = case_rng(3, case);
@@ -571,20 +571,60 @@ fn histogram_percentiles_track_exact_quantiles() {
 }
 
 // ---------------------------------------------------------------------
-// Recovery idempotence: a second power_fail() at the same instant is a
-// pure re-scan — it changes no structural state (map, census, bad
-// segments, generations, read-only flag) and no counter other than the
-// recovery accounting itself. Cases with background cleaning running at
-// the failure instant exercise the orphaned-job reclaim path; the second
-// call must find nothing left to reclaim.
+// Recovery idempotence, one generic check run on all four backends: a
+// second power_fail() at the same instant is a pure re-scan — it changes no state the device's
+// fingerprint sees (mapping, census, retirement, generations, non-recovery
+// counters) and counts exactly one more power failure, and a probe issued
+// long after both recoveries is served identically. Card cases with
+// background cleaning running at the failure instant exercise the
+// orphaned-job reclaim path; the second call must find nothing left to
+// reclaim.
 // ---------------------------------------------------------------------
+
+/// Runs `arrange` twice, recovers one device once and the other twice at
+/// the returned instant, and checks the two agree. Returns the probe's
+/// result.
+fn assert_recovery_idempotent<D: Device, S: PartialEq + std::fmt::Debug>(
+    case: &str,
+    arrange: impl Fn() -> (D, SimTime),
+    fingerprint: impl Fn(&D) -> S,
+    power_failures: impl Fn(&D) -> u64,
+    probe: Request,
+) -> Result<(), DeviceError> {
+    let (mut once, at) = arrange();
+    let (mut twice, _) = arrange();
+    once.power_fail(at, &mut NoopObserver);
+    twice.power_fail(at, &mut NoopObserver);
+    twice.power_fail(at, &mut NoopObserver);
+    assert_eq!(
+        fingerprint(&once),
+        fingerprint(&twice),
+        "{case}: state diverged"
+    );
+    assert_eq!(power_failures(&twice), power_failures(&once) + 1, "{case}");
+
+    // The doubled recovery must not change what the device does next.
+    let probe_at = at + SimDuration::from_hours(1);
+    let (a, ra) = once.submit(probe_at, probe, &mut NoopObserver);
+    let (b, rb) = twice.submit(probe_at, probe, &mut NoopObserver);
+    assert_eq!((a, ra), (b, rb), "{case}: probe diverged");
+    assert_eq!(
+        fingerprint(&once),
+        fingerprint(&twice),
+        "{case}: probe diverged"
+    );
+    ra
+}
 
 #[test]
 fn flash_card_recovery_is_idempotent() {
     use mobistore::sim::fault::FaultConfig;
 
     for case in 0..48u64 {
-        let make_card = || {
+        // Transient and permanent faults on every third case; the crash
+        // lands soon after the last op, while background cleaning may
+        // still be running.
+        let arrange = || {
             let fault = FaultConfig {
                 write_fail_rate: if case % 3 == 0 { 0.05 } else { 0.0 },
                 erase_fail_rate: if case % 3 == 0 { 0.05 } else { 0.0 },
@@ -592,7 +632,7 @@ fn flash_card_recovery_is_idempotent() {
                 seed: case,
                 ..FaultConfig::none()
             };
-            FlashCardStore::new(FlashCardConfig {
+            let mut card = FlashCardStore::new(FlashCardConfig {
                 params: intel_datasheet(),
                 block_size: 1024,
                 capacity_bytes: 2 * 1024 * 1024,
@@ -600,107 +640,59 @@ fn flash_card_recovery_is_idempotent() {
                 victim_policy: VictimPolicy::GreedyMinLive,
                 queueing: QueueDiscipline::Fifo,
             })
-            .with_faults(fault)
-        };
-        let mut once = make_card();
-        let mut twice = make_card();
-
-        // Identical histories: same preload, same op stream.
-        let mut rng = case_rng(21, case);
-        let preload = rng.below(600);
-        once.preload_aged(1000..1000 + preload);
-        twice.preload_aged(1000..1000 + preload);
-        let n_ops = rng.range_inclusive(1, 120);
-        let mut now = SimTime::ZERO;
-        for _ in 0..n_ops {
-            let op = card_op(&mut rng);
-            for card in [&mut once, &mut twice] {
-                match op {
+            .with_faults(fault);
+            let mut rng = case_rng(21, case);
+            let preload = rng.below(600);
+            card.preload_aged(1000..1000 + preload);
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.range_inclusive(1, 120) {
+                match card_op(&mut rng) {
                     CardOp::Write { lbn, blocks } => {
-                        now = now.max(card.write(now, lbn, blocks).end);
+                        let svc = card.try_write(now, lbn, blocks).expect("card has room");
+                        now = now.max(svc.end);
                     }
-                    CardOp::Trim { lbn, blocks } => card.trim(lbn, blocks),
+                    CardOp::Trim { lbn, blocks } => {
+                        card.trim_obs(now, lbn, blocks, &mut NoopObserver)
+                    }
                     CardOp::Read { lbn, blocks } => {
-                        now = now.max(card.read(now, lbn, blocks).end);
+                        now = now.max(card.try_read(now, lbn, blocks).0.end);
                     }
                     CardOp::Idle { ms } => now += SimDuration::from_millis(ms),
                 }
             }
-        }
-
-        // Crash soon after the last op, while background cleaning may
-        // still be running (the short gap leaves jobs unfinished).
-        let at = now + SimDuration::from_millis(rng.below(20));
-        once.power_fail(at);
-        twice.power_fail(at);
-        twice.power_fail(at);
-        once.check_invariants();
-        twice.check_invariants();
-
-        assert_eq!(
-            once.snapshot(),
-            twice.snapshot(),
-            "case {case}: map diverged"
-        );
-        assert_eq!(
-            once.census(),
-            twice.census(),
-            "case {case}: census diverged"
-        );
-        assert_eq!(
-            once.bad_segments(),
-            twice.bad_segments(),
-            "case {case}: retirement diverged"
-        );
-        assert_eq!(
-            once.next_generation(),
-            twice.next_generation(),
-            "case {case}: generation counter diverged"
-        );
-        assert_eq!(
-            once.is_read_only(),
-            twice.is_read_only(),
-            "case {case}: read-only flag diverged"
-        );
-
-        // Only the recovery accounting itself may differ, by exactly one
-        // extra (empty) scan.
-        let a = once.counters();
-        let b = twice.counters();
-        assert_eq!(b.power_failures, a.power_failures + 1, "case {case}");
-        assert!(b.recovery_time >= a.recovery_time, "case {case}");
-        assert_eq!(
+            (card, now + SimDuration::from_millis(rng.below(20)))
+        };
+        let fingerprint = |card: &FlashCardStore| {
+            let c = card.counters();
             (
-                a.ops,
-                a.bytes_read,
-                a.bytes_written,
-                a.erasures,
-                a.blocks_copied
-            ),
-            (
-                b.ops,
-                b.bytes_read,
-                b.bytes_written,
-                b.erasures,
-                b.blocks_copied
-            ),
-            "case {case}: I/O counters diverged"
-        );
-        assert_eq!(
-            (
-                a.write_retries,
-                a.erase_retries,
-                a.segments_retired,
-                a.eol_write_rejections
-            ),
-            (
-                b.write_retries,
-                b.erase_retries,
-                b.segments_retired,
-                b.eol_write_rejections
-            ),
-            "case {case}: fault counters diverged"
-        );
+                card.snapshot(),
+                card.census(),
+                card.bad_segments(),
+                card.next_generation(),
+                card.is_read_only(),
+                [
+                    c.ops,
+                    c.bytes_read,
+                    c.bytes_written,
+                    c.erasures,
+                    c.blocks_copied,
+                ],
+                [
+                    c.write_retries,
+                    c.erase_retries,
+                    c.segments_retired,
+                    c.eol_write_rejections,
+                ],
+            )
+        };
+        assert_recovery_idempotent(
+            &format!("case {case}"),
+            arrange,
+            fingerprint,
+            |card| card.counters().power_failures,
+            Request::new(Dir::Read, 1000, 8, 1024),
+        )
+        .expect("a quiet integrity plan never fails a read");
     }
 }
 
@@ -708,67 +700,170 @@ fn flash_card_recovery_is_idempotent() {
 fn magnetic_disk_recovery_is_idempotent() {
     use mobistore::device::disk::SpinDownPolicy;
     use mobistore::device::params::cu140_datasheet;
-    use mobistore::device::{Dir, MagneticDisk};
+    use mobistore::device::MagneticDisk;
 
+    // Every recovery re-reads the FAT, so bytes read by requests are what
+    // the two disks must agree on.
+    const FAT_BYTES: u64 = 64 * 1024;
     for case in 0..48u64 {
-        let mut rng = case_rng(22, case);
-        let policy = match rng.below(2) {
-            0 => SpinDownPolicy::Never,
-            _ => SpinDownPolicy::Fixed(SimDuration::from_secs_f64(2.0)),
-        };
-        let make_disk = || MagneticDisk::with_policy(cu140_datasheet(), policy);
-        let mut once = make_disk();
-        let mut twice = make_disk();
-
-        let n_ops = rng.range_inclusive(1, 40);
-        let mut now = SimTime::ZERO;
-        for _ in 0..n_ops {
-            let dir = if rng.below(2) == 0 {
-                Dir::Read
-            } else {
-                Dir::Write
+        let arrange = || {
+            let mut rng = case_rng(22, case);
+            let policy = match rng.below(2) {
+                0 => SpinDownPolicy::Never,
+                _ => SpinDownPolicy::Fixed(SimDuration::from_secs_f64(2.0)),
             };
-            let bytes = (1 + rng.below(64)) * 1024;
-            let file = rng.below(8);
-            let lbn = rng.below(10_000);
-            let op_end = now;
-            for disk in [&mut once, &mut twice] {
+            let mut disk =
+                MagneticDisk::with_policy(cu140_datasheet(), policy).with_fat_scan_bytes(FAT_BYTES);
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.range_inclusive(1, 40) {
+                let dir = if rng.below(2) == 0 {
+                    Dir::Read
+                } else {
+                    Dir::Write
+                };
+                let bytes = (1 + rng.below(64)) * 1024;
+                let file = rng.below(8);
+                let lbn = rng.below(10_000);
                 let svc = disk.access_at(now, dir, bytes, Some(file), Some(lbn));
                 assert!(svc.end >= svc.start, "case {case}");
+                now += SimDuration::from_millis(1 + rng.below(3000));
             }
-            now = op_end + SimDuration::from_millis(1 + rng.below(3000));
+            (disk, now)
+        };
+        let fingerprint = |disk: &MagneticDisk| {
+            let c = disk.counters();
+            let requested = c.bytes_read - FAT_BYTES * c.power_failures;
+            (c.ops, requested, c.bytes_written, c.spin_downs)
+        };
+        assert_recovery_idempotent(
+            &format!("case {case}"),
+            arrange,
+            fingerprint,
+            |disk| disk.counters().power_failures,
+            Request::new(Dir::Read, 512, 16, 512).with_file(3),
+        )
+        .expect("the disk never fails");
+    }
+}
+
+#[test]
+fn flash_disk_recovery_is_idempotent() {
+    use mobistore::device::flashdisk::FlashDisk;
+    use mobistore::device::params::sdp5a_datasheet;
+
+    // The pre-erased pool and pending garbage survive the crash; only the
+    // remap rescan repeats.
+    for case in 0..48u64 {
+        let arrange = || {
+            let mut rng = case_rng(23, case);
+            let mut fd = FlashDisk::new(sdp5a_datasheet());
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.range_inclusive(1, 60) {
+                match fd_op(&mut rng) {
+                    FdOp::Write { kib } => now = fd.access(now, Dir::Write, kib * 1024).end,
+                    FdOp::Read { kib } => now = fd.access(now, Dir::Read, kib * 1024).end,
+                    FdOp::Idle { ms } => now += SimDuration::from_millis(ms),
+                }
+            }
+            (fd, now + SimDuration::from_millis(rng.below(20)))
+        };
+        let fingerprint = |fd: &FlashDisk| {
+            let c = fd.counters();
+            let io = [c.ops, c.bytes_read, c.bytes_written, c.bytes_pre_erased];
+            (io, c.bytes_erased_on_demand, fd.erased_pool())
+        };
+        assert_recovery_idempotent(
+            &format!("case {case}"),
+            arrange,
+            fingerprint,
+            |fd| fd.counters().power_failures,
+            Request::new(Dir::Write, 0, 8, 1024),
+        )
+        .expect("flash disk writes never fail");
+    }
+}
+
+#[test]
+fn array_recovery_is_idempotent() {
+    use mobistore::device::array::{ArrayDevice, ChildClass};
+    use mobistore::sim::fault::DeathSchedule;
+
+    // A 2+1 flash-disk array with one death mid-burst, crashed while the
+    // rebuild is running: recovering twice leaves the same blocks,
+    // generations, and unreadable set, and never loses acked data.
+    let crash = SimTime::from_secs_f64(3.0);
+    let arrange = || {
+        let children = [ChildClass::FlashDisk; 3];
+        let mut arr = ArrayDevice::new(2, 1, &children, 1024)
+            .with_deaths(DeathSchedule::explicit(vec![
+                Some(SimTime::from_secs_f64(2.0)),
+                None,
+                None,
+            ]))
+            .with_rebuild_rate(32.0);
+        arr.preload(0..64);
+        let mut t = SimTime::from_secs_f64(0.5);
+        for lbn in 0..48u64 {
+            if t >= crash {
+                break;
+            }
+            let (_, res) = arr.submit(t, Request::new(Dir::Write, lbn, 1, 1024), &mut NoopObserver);
+            res.expect("write under <= m losses");
+            t = SimTime::from_nanos(t.as_nanos() + 50_000_000);
         }
+        (arr, crash)
+    };
+    let fingerprint = |arr: &ArrayDevice| {
+        assert!(arr.unreadable_blocks().is_empty(), "acked data lost");
+        (arr.snapshot(), arr.next_generation(), arr.lost_children())
+    };
+    assert_recovery_idempotent(
+        "array",
+        arrange,
+        fingerprint,
+        |arr| arr.counters().power_failures,
+        Request::new(Dir::Read, 0, 48, 1024),
+    )
+    .expect("every acked block reads back after recovery");
+}
 
-        let fat_bytes = 64 * 1024;
-        let at = now;
-        once.power_fail(at, fat_bytes);
-        twice.power_fail(at, fat_bytes);
-        twice.power_fail(at, fat_bytes);
+// ---------------------------------------------------------------------
+// Flash disk: a plain `access` read and the checked `try_read` are the
+// same path — under a quiet integrity plan they serve identical intervals
+// and leave identical counters and energy.
+// ---------------------------------------------------------------------
 
-        let a = once.counters();
-        let b = twice.counters();
-        assert_eq!(b.power_failures, a.power_failures + 1, "case {case}");
-        assert_eq!(a.ops, b.ops, "case {case}: op counters diverged");
+#[test]
+fn flash_disk_plain_and_checked_reads_agree() {
+    use mobistore::device::flashdisk::FlashDisk;
+    use mobistore::device::params::sdp5a_datasheet;
+    use mobistore::sim::integrity::IntegrityConfig;
 
-        // The doubled recovery must not change what the disk does next:
-        // an identical probe access long after both recoveries finished
-        // costs exactly the same and leaves identical counter deltas.
-        let probe_at = at + SimDuration::from_secs_f64(3600.0);
-        let pa = once.access_at(probe_at, Dir::Read, 8 * 1024, Some(3), Some(512));
-        let pb = twice.access_at(probe_at, Dir::Read, 8 * 1024, Some(3), Some(512));
-        assert_eq!(
-            pa.end - pa.start,
-            pb.end - pb.start,
-            "case {case}: probe service time diverged"
-        );
-        assert_eq!(pa.start, pb.start, "case {case}: probe start diverged");
-        let a2 = once.counters();
-        let b2 = twice.counters();
-        assert_eq!(
-            (a2.ops - a.ops, a2.bytes_read - a.bytes_read),
-            (b2.ops - b.ops, b2.bytes_read - b.bytes_read),
-            "case {case}: probe counter deltas diverged"
-        );
+    for case in 0..64u64 {
+        let mut rng = case_rng(24, case);
+        let make = || FlashDisk::new(sdp5a_datasheet()).with_integrity(IntegrityConfig::none());
+        let (mut plain, mut checked) = (make(), make());
+        let mut now = SimTime::ZERO;
+        for i in 0..rng.below(80) {
+            match fd_op(&mut rng) {
+                FdOp::Write { kib } => {
+                    let a = plain.access(now, Dir::Write, kib * 1024);
+                    let b = checked.access(now, Dir::Write, kib * 1024);
+                    assert_eq!(a, b, "case {case}");
+                    now = a.end;
+                }
+                FdOp::Read { kib } => {
+                    let a = plain.access(now, Dir::Read, kib * 1024);
+                    let (b, res) = checked.try_read(now, i, kib * 1024);
+                    assert_eq!(a, b, "case {case}");
+                    assert!(res.is_ok(), "case {case}");
+                    now = a.end;
+                }
+                FdOp::Idle { ms } => now += SimDuration::from_millis(ms),
+            }
+        }
+        assert_eq!(plain.counters(), checked.counters(), "case {case}");
+        assert_eq!(plain.energy().get(), checked.energy().get(), "case {case}");
     }
 }
 
