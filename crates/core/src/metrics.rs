@@ -13,7 +13,7 @@ use mobistore_device::flashdisk::FlashDiskCounters;
 use mobistore_flash::store::{FlashCardCounters, WearStats};
 use mobistore_sim::energy::Joules;
 use mobistore_sim::hist::{Histogram, Percentiles};
-use mobistore_sim::obs::CounterRegistry;
+use mobistore_sim::obs::{CounterRegistry, Counters};
 use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
 
@@ -208,20 +208,12 @@ impl Metrics {
         self.degraded_read_latency
             .merge(&other.degraded_read_latency);
         self.duration = self.duration.max(other.duration);
-        merge_opt(&mut self.cache, &other.cache, CacheStats::merge);
-        merge_opt(&mut self.sram, &other.sram, SramStats::merge);
-        merge_opt(&mut self.disk, &other.disk, DiskCounters::merge);
-        merge_opt(
-            &mut self.flash_disk,
-            &other.flash_disk,
-            FlashDiskCounters::merge,
-        );
-        merge_opt(
-            &mut self.flash_card,
-            &other.flash_card,
-            FlashCardCounters::merge,
-        );
-        merge_opt(&mut self.array, &other.array, ArrayCounters::merge);
+        merge_opt(&mut self.cache, &other.cache, Counters::merge);
+        merge_opt(&mut self.sram, &other.sram, Counters::merge);
+        merge_opt(&mut self.disk, &other.disk, Counters::merge);
+        merge_opt(&mut self.flash_disk, &other.flash_disk, Counters::merge);
+        merge_opt(&mut self.flash_card, &other.flash_card, Counters::merge);
+        merge_opt(&mut self.array, &other.array, Counters::merge);
         merge_opt(&mut self.wear, &other.wear, WearStats::merge);
         self.lost_dirty_blocks += other.lost_dirty_blocks;
         self.rejected_writes += other.rejected_writes;
@@ -315,84 +307,18 @@ impl Metrics {
     /// registry (`"dram.read_hits"`, `"card.erasures"`, …) for
     /// machine-readable export. Only the components that ran appear.
     pub fn counters(&self) -> CounterRegistry {
+        fn add_set<C: Counters>(reg: &mut CounterRegistry, set: &Option<C>) {
+            for (key, value) in set.iter().flat_map(Counters::entries) {
+                reg.add(key, value);
+            }
+        }
         let mut reg = CounterRegistry::new();
-        if let Some(c) = self.cache {
-            reg.add("dram.read_hits", c.read_hits);
-            reg.add("dram.read_misses", c.read_misses);
-            reg.add("dram.writes", c.writes);
-            reg.add("dram.writebacks", c.writebacks);
-            reg.add("dram.fill_rejects", c.fill_rejects);
-        }
-        if let Some(s) = self.sram {
-            reg.add("sram.absorbed", s.absorbed);
-            reg.add("sram.flushes", s.flushes);
-            reg.add("sram.read_hits", s.read_hits);
-        }
-        if let Some(d) = self.disk {
-            reg.add("disk.ops", d.ops);
-            reg.add("disk.spin_ups", d.spin_ups);
-            reg.add("disk.spin_downs", d.spin_downs);
-            reg.add("disk.bytes_read", d.bytes_read);
-            reg.add("disk.bytes_written", d.bytes_written);
-            reg.add("disk.power_failures", d.power_failures);
-            reg.add("disk.recovery_ns", d.recovery_time.as_nanos());
-        }
-        if let Some(f) = self.flash_disk {
-            reg.add("flashdisk.ops", f.ops);
-            reg.add("flashdisk.bytes_read", f.bytes_read);
-            reg.add("flashdisk.bytes_written", f.bytes_written);
-            reg.add("flashdisk.bytes_pre_erased", f.bytes_pre_erased);
-            reg.add("flashdisk.bytes_erased_on_demand", f.bytes_erased_on_demand);
-            reg.add("flashdisk.power_failures", f.power_failures);
-            reg.add("flashdisk.recovery_ns", f.recovery_time.as_nanos());
-            reg.add("flashdisk.ecc_corrected", f.ecc_corrected);
-            reg.add("flashdisk.read_retries", f.read_retries);
-            reg.add("flashdisk.uncorrectable_reads", f.uncorrectable_reads);
-        }
-        if let Some(c) = self.flash_card {
-            reg.add("card.ops", c.ops);
-            reg.add("card.bytes_read", c.bytes_read);
-            reg.add("card.bytes_written", c.bytes_written);
-            reg.add("card.erasures", c.erasures);
-            reg.add("card.blocks_copied", c.blocks_copied);
-            reg.add("card.cleaning_waits", c.cleaning_waits);
-            reg.add("card.write_retries", c.write_retries);
-            reg.add("card.erase_retries", c.erase_retries);
-            reg.add("card.segments_retired", c.segments_retired);
-            reg.add("card.power_failures", c.power_failures);
-            reg.add("card.recovery_ns", c.recovery_time.as_nanos());
-            reg.add("card.eol_write_rejections", c.eol_write_rejections);
-            reg.add("card.ecc_corrected", c.ecc_corrected);
-            reg.add("card.read_retries", c.read_retries);
-            reg.add("card.uncorrectable_reads", c.uncorrectable_reads);
-            reg.add("card.blocks_relocated", c.blocks_relocated);
-            reg.add("card.scrub_passes", c.scrub_passes);
-            reg.add("card.scrub_reads", c.scrub_reads);
-            reg.add(
-                "card.write_retry_backoff_ns",
-                c.write_retry_backoff.as_nanos(),
-            );
-            reg.add(
-                "card.erase_retry_backoff_ns",
-                c.erase_retry_backoff.as_nanos(),
-            );
-        }
-        if let Some(a) = self.array {
-            reg.add("array.ops", a.ops);
-            reg.add("array.bytes_read", a.bytes_read);
-            reg.add("array.bytes_written", a.bytes_written);
-            reg.add("array.degraded_reads", a.degraded_reads);
-            reg.add("array.parity_updates", a.parity_updates);
-            reg.add("array.rebuild_stripes", a.rebuild_stripes);
-            reg.add("array.rebuilds_completed", a.rebuilds_completed);
-            reg.add("array.rebuild_ns", a.rebuild_time.as_nanos());
-            reg.add("array.device_deaths", a.device_deaths);
-            reg.add("array.data_loss_events", a.data_loss_events);
-            reg.add("array.vulnerability_ns", a.vulnerability.as_nanos());
-            reg.add("array.power_failures", a.power_failures);
-            reg.add("array.recovery_ns", a.recovery_time.as_nanos());
-            reg.add("array.read_only_rejections", a.read_only_rejections);
-        }
+        add_set(&mut reg, &self.cache);
+        add_set(&mut reg, &self.sram);
+        add_set(&mut reg, &self.disk);
+        add_set(&mut reg, &self.flash_disk);
+        add_set(&mut reg, &self.flash_card);
+        add_set(&mut reg, &self.array);
         reg.add("lost_dirty_blocks", self.lost_dirty_blocks);
         reg.add("rejected_writes", self.rejected_writes);
         reg.add("rejected_blocks", self.rejected_blocks);

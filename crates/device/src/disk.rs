@@ -20,6 +20,7 @@
 //! `mobistore-cache`; this model only serves raw accesses.
 
 use mobistore_sim::energy::{EnergyMeter, Joules};
+use mobistore_sim::fault::DEFAULT_FAT_SCAN_BYTES;
 use mobistore_sim::obs::{Event, NoopObserver, Observer};
 use mobistore_sim::span::{Span, SpanKind};
 use mobistore_sim::time::{SimDuration, SimTime};
@@ -103,37 +104,24 @@ pub enum SeekModel {
     },
 }
 
-/// Counters the disk maintains alongside energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskCounters {
-    /// Completed accesses.
-    pub ops: u64,
-    /// Number of spin-ups paid by requests.
-    pub spin_ups: u64,
-    /// Number of completed spin-downs (including those a request interrupted
-    /// by waiting for completion).
-    pub spin_downs: u64,
-    /// Bytes read from the media.
-    pub bytes_read: u64,
-    /// Bytes written to the media.
-    pub bytes_written: u64,
-    /// Power failures survived (each forcing a FAT replay scan).
-    pub power_failures: u64,
-    /// Total time spent in post-power-fail recovery scans.
-    pub recovery_time: SimDuration,
-}
-
-impl DiskCounters {
-    /// Adds another disk's counters into this one (fleet aggregation:
-    /// counts and durations are all additive).
-    pub fn merge(&mut self, other: &DiskCounters) {
-        self.ops += other.ops;
-        self.spin_ups += other.spin_ups;
-        self.spin_downs += other.spin_downs;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.power_failures += other.power_failures;
-        self.recovery_time += other.recovery_time;
+mobistore_sim::counters! {
+    /// Counters the disk maintains alongside energy.
+    pub struct DiskCounters in "disk" {
+        /// Completed accesses.
+        ops: u64,
+        /// Number of spin-ups paid by requests.
+        spin_ups: u64,
+        /// Number of completed spin-downs (including those a request interrupted
+        /// by waiting for completion).
+        spin_downs: u64,
+        /// Bytes read from the media.
+        bytes_read: u64,
+        /// Bytes written to the media.
+        bytes_written: u64,
+        /// Power failures survived (each forcing a FAT replay scan).
+        power_failures: u64,
+        /// Total time spent in post-power-fail recovery scans.
+        recovery_time: SimDuration => "recovery_ns",
     }
 }
 
@@ -199,7 +187,7 @@ impl MagneticDisk {
             free_at: SimTime::ZERO,
             last_file: None,
             head_lbn: 0,
-            fat_scan_bytes: 128 * 1024,
+            fat_scan_bytes: DEFAULT_FAT_SCAN_BYTES,
         }
     }
 

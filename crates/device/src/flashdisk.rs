@@ -17,50 +17,34 @@ use mobistore_sim::energy::{EnergyMeter, Joules};
 use mobistore_sim::integrity::{IntegrityConfig, IntegrityPlan, ReadVerdict};
 use mobistore_sim::obs::{Event, NoopObserver, Observer};
 use mobistore_sim::span::{Span, SpanKind};
-use mobistore_sim::time::SimTime;
+use mobistore_sim::time::{SimDuration, SimTime};
 
 use crate::params::{ErasePolicy, FlashDiskParams};
 use crate::{Device, DeviceError, Dir, Request, Service};
 
-/// Counters the flash disk maintains alongside energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlashDiskCounters {
-    /// Completed accesses.
-    pub ops: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Bytes written into sectors the background cleaner had pre-erased.
-    pub bytes_pre_erased: u64,
-    /// Bytes whose erasure had to happen inline with the write.
-    pub bytes_erased_on_demand: u64,
-    /// Power failures survived.
-    pub power_failures: u64,
-    /// Total sim time spent re-scanning remap metadata after power loss.
-    pub recovery_time: mobistore_sim::time::SimDuration,
-    /// Read accesses whose raw bit errors the ECC corrected transparently.
-    pub ecc_corrected: u64,
-    /// Read-retry attempts spent recovering marginal reads.
-    pub read_retries: u64,
-    /// Read accesses lost to uncorrectable bit errors.
-    pub uncorrectable_reads: u64,
-}
-
-impl FlashDiskCounters {
-    /// Adds another flash disk's counters into this one (fleet
-    /// aggregation: counts and durations are all additive).
-    pub fn merge(&mut self, other: &FlashDiskCounters) {
-        self.ops += other.ops;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.bytes_pre_erased += other.bytes_pre_erased;
-        self.bytes_erased_on_demand += other.bytes_erased_on_demand;
-        self.power_failures += other.power_failures;
-        self.recovery_time += other.recovery_time;
-        self.ecc_corrected += other.ecc_corrected;
-        self.read_retries += other.read_retries;
-        self.uncorrectable_reads += other.uncorrectable_reads;
+mobistore_sim::counters! {
+    /// Counters the flash disk maintains alongside energy.
+    pub struct FlashDiskCounters in "flashdisk" {
+        /// Completed accesses.
+        ops: u64,
+        /// Bytes read.
+        bytes_read: u64,
+        /// Bytes written.
+        bytes_written: u64,
+        /// Bytes written into sectors the background cleaner had pre-erased.
+        bytes_pre_erased: u64,
+        /// Bytes whose erasure had to happen inline with the write.
+        bytes_erased_on_demand: u64,
+        /// Power failures survived.
+        power_failures: u64,
+        /// Total sim time spent re-scanning remap metadata after power loss.
+        recovery_time: SimDuration => "recovery_ns",
+        /// Read accesses whose raw bit errors the ECC corrected transparently.
+        ecc_corrected: u64,
+        /// Read-retry attempts spent recovering marginal reads.
+        read_retries: u64,
+        /// Read accesses lost to uncorrectable bit errors.
+        uncorrectable_reads: u64,
     }
 }
 
@@ -310,7 +294,7 @@ impl FlashDisk {
         (Service { start, end }, result)
     }
 
-    fn write_time(&mut self, bytes: u64) -> mobistore_sim::time::SimDuration {
+    fn write_time(&mut self, bytes: u64) -> SimDuration {
         match self.params.erase_policy {
             ErasePolicy::OnDemand => self.params.write_bandwidth.transfer_time(bytes),
             ErasePolicy::Asynchronous => {
@@ -447,7 +431,6 @@ impl Device for FlashDisk {
 mod tests {
     use super::*;
     use crate::params::{sdp10_measured, sdp5_datasheet, sdp5a_datasheet};
-    use mobistore_sim::time::SimDuration;
     use mobistore_sim::units::KIB;
 
     #[test]

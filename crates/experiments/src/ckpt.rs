@@ -41,16 +41,12 @@ use std::fs;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
-use mobistore_cache::dram::CacheStats;
-use mobistore_cache::sram::SramStats;
 use mobistore_core::metrics::Metrics;
-use mobistore_device::array::ArrayCounters;
-use mobistore_device::disk::DiskCounters;
-use mobistore_device::flashdisk::FlashDiskCounters;
-use mobistore_flash::store::{FlashCardCounters, WearStats};
+use mobistore_flash::store::WearStats;
 use mobistore_sim::energy::Joules;
 use mobistore_sim::fleet::ShardError;
 use mobistore_sim::hist::Histogram;
+use mobistore_sim::obs::Counters;
 use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
 
@@ -161,6 +157,17 @@ fn bits(x: f64) -> String {
 /// The five (summary, histogram) latency channels a [`Metrics`] carries.
 const CHANNELS: [&str; 5] = ["read", "write", "overall", "backoff", "degraded"];
 
+/// Writes one `m.<tag>` line: the set's values in field order.
+fn encode_counters<C: Counters>(out: &mut String, tag: &str, set: &Option<C>) {
+    if let Some(set) = set {
+        let _ = write!(out, "m.{tag}");
+        for (_, value) in set.entries() {
+            let _ = write!(out, " {value}");
+        }
+        out.push('\n');
+    }
+}
+
 fn encode_metrics(out: &mut String, m: &Metrics) {
     let _ = writeln!(out, "m.name {}", esc(&m.name));
     let _ = writeln!(out, "m.energy {}", bits(m.energy.get()));
@@ -210,91 +217,12 @@ fn encode_metrics(out: &mut String, m: &Metrics) {
         out.push('\n');
     }
     let _ = writeln!(out, "m.dur {}", m.duration.as_nanos());
-    if let Some(c) = &m.cache {
-        let _ = writeln!(
-            out,
-            "m.cache {} {} {} {} {}",
-            c.read_hits, c.read_misses, c.writes, c.writebacks, c.fill_rejects
-        );
-    }
-    if let Some(s) = &m.sram {
-        let _ = writeln!(out, "m.sram {} {} {}", s.absorbed, s.flushes, s.read_hits);
-    }
-    if let Some(d) = &m.disk {
-        let _ = writeln!(
-            out,
-            "m.disk {} {} {} {} {} {} {}",
-            d.ops,
-            d.spin_ups,
-            d.spin_downs,
-            d.bytes_read,
-            d.bytes_written,
-            d.power_failures,
-            d.recovery_time.as_nanos()
-        );
-    }
-    if let Some(d) = &m.flash_disk {
-        let _ = writeln!(
-            out,
-            "m.flashdisk {} {} {} {} {} {} {} {} {} {}",
-            d.ops,
-            d.bytes_read,
-            d.bytes_written,
-            d.bytes_pre_erased,
-            d.bytes_erased_on_demand,
-            d.power_failures,
-            d.recovery_time.as_nanos(),
-            d.ecc_corrected,
-            d.read_retries,
-            d.uncorrectable_reads
-        );
-    }
-    if let Some(c) = &m.flash_card {
-        let _ = writeln!(
-            out,
-            "m.card {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            c.ops,
-            c.bytes_read,
-            c.bytes_written,
-            c.erasures,
-            c.blocks_copied,
-            c.cleaning_waits,
-            c.write_retries,
-            c.erase_retries,
-            c.segments_retired,
-            c.power_failures,
-            c.recovery_time.as_nanos(),
-            c.eol_write_rejections,
-            c.ecc_corrected,
-            c.read_retries,
-            c.uncorrectable_reads,
-            c.blocks_relocated,
-            c.scrub_passes,
-            c.scrub_reads,
-            c.write_retry_backoff.as_nanos(),
-            c.erase_retry_backoff.as_nanos()
-        );
-    }
-    if let Some(a) = &m.array {
-        let _ = writeln!(
-            out,
-            "m.array {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            a.ops,
-            a.bytes_read,
-            a.bytes_written,
-            a.degraded_reads,
-            a.parity_updates,
-            a.rebuild_stripes,
-            a.rebuilds_completed,
-            a.rebuild_time.as_nanos(),
-            a.device_deaths,
-            a.data_loss_events,
-            a.vulnerability.as_nanos(),
-            a.power_failures,
-            a.recovery_time.as_nanos(),
-            a.read_only_rejections
-        );
-    }
+    encode_counters(out, "cache", &m.cache);
+    encode_counters(out, "sram", &m.sram);
+    encode_counters(out, "disk", &m.disk);
+    encode_counters(out, "flashdisk", &m.flash_disk);
+    encode_counters(out, "card", &m.flash_card);
+    encode_counters(out, "array", &m.array);
     if let Some(w) = &m.wear {
         let _ = writeln!(
             out,
@@ -411,6 +339,12 @@ fn parse_u64(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<u64, St
         .map_err(|_| cur.fail(&format!("bad {what}")))
 }
 
+/// Like [`parse_u64`], but rejects values that do not fit a `u32`
+/// instead of truncating them.
+fn parse_u32(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<u32, String> {
+    u32::try_from(parse_u64(cur, token, what)?).map_err(|_| cur.fail(&format!("bad {what}")))
+}
+
 fn parse_f64_bits(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<f64, String> {
     let token = token.ok_or_else(|| cur.fail(&format!("missing {what}")))?;
     u64::from_str_radix(token, 16)
@@ -421,6 +355,15 @@ fn parse_f64_bits(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<f6
 fn parse_str(cur: &Lines<'_>, token: Option<&str>, what: &str) -> Result<String, String> {
     let token = token.ok_or_else(|| cur.fail(&format!("missing {what}")))?;
     unesc(token).map_err(|e| cur.fail(&format!("bad {what}: {e}")))
+}
+
+/// Reads one value per counter key, in field order (the inverse of
+/// [`encode_counters`]).
+fn decode_counters<'a, C: Counters>(
+    cur: &Lines<'_>,
+    tokens: &mut impl Iterator<Item = &'a str>,
+) -> Result<C, String> {
+    C::try_from_entries(|key| parse_u64(cur, tokens.next(), key))
 }
 
 /// Decodes one `m.*` block (after its introducing `class`/`total` line).
@@ -487,124 +430,15 @@ fn decode_metrics(cur: &mut Lines<'_>) -> Result<Metrics, String> {
                 } = h;
             }
             "m.dur" => m.duration = SimDuration::from_nanos(parse_u64(cur, t.next(), "duration")?),
-            "m.cache" => {
-                m.cache = Some(CacheStats {
-                    read_hits: parse_u64(cur, t.next(), "read_hits")?,
-                    read_misses: parse_u64(cur, t.next(), "read_misses")?,
-                    writes: parse_u64(cur, t.next(), "writes")?,
-                    writebacks: parse_u64(cur, t.next(), "writebacks")?,
-                    fill_rejects: parse_u64(cur, t.next(), "fill_rejects")?,
-                });
-            }
-            "m.sram" => {
-                m.sram = Some(SramStats {
-                    absorbed: parse_u64(cur, t.next(), "absorbed")?,
-                    flushes: parse_u64(cur, t.next(), "flushes")?,
-                    read_hits: parse_u64(cur, t.next(), "read_hits")?,
-                });
-            }
-            "m.disk" => {
-                m.disk = Some(DiskCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    spin_ups: parse_u64(cur, t.next(), "spin_ups")?,
-                    spin_downs: parse_u64(cur, t.next(), "spin_downs")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                });
-            }
-            "m.flashdisk" => {
-                m.flash_disk = Some(FlashDiskCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    bytes_pre_erased: parse_u64(cur, t.next(), "bytes_pre_erased")?,
-                    bytes_erased_on_demand: parse_u64(cur, t.next(), "bytes_erased_on_demand")?,
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                    ecc_corrected: parse_u64(cur, t.next(), "ecc_corrected")?,
-                    read_retries: parse_u64(cur, t.next(), "read_retries")?,
-                    uncorrectable_reads: parse_u64(cur, t.next(), "uncorrectable_reads")?,
-                });
-            }
-            "m.card" => {
-                m.flash_card = Some(FlashCardCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    erasures: parse_u64(cur, t.next(), "erasures")?,
-                    blocks_copied: parse_u64(cur, t.next(), "blocks_copied")?,
-                    cleaning_waits: parse_u64(cur, t.next(), "cleaning_waits")?,
-                    write_retries: parse_u64(cur, t.next(), "write_retries")?,
-                    erase_retries: parse_u64(cur, t.next(), "erase_retries")?,
-                    segments_retired: parse_u64(cur, t.next(), "segments_retired")?,
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                    eol_write_rejections: parse_u64(cur, t.next(), "eol_write_rejections")?,
-                    ecc_corrected: parse_u64(cur, t.next(), "ecc_corrected")?,
-                    read_retries: parse_u64(cur, t.next(), "read_retries")?,
-                    uncorrectable_reads: parse_u64(cur, t.next(), "uncorrectable_reads")?,
-                    blocks_relocated: parse_u64(cur, t.next(), "blocks_relocated")?,
-                    scrub_passes: parse_u64(cur, t.next(), "scrub_passes")?,
-                    scrub_reads: parse_u64(cur, t.next(), "scrub_reads")?,
-                    write_retry_backoff: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "write_retry_backoff",
-                    )?),
-                    erase_retry_backoff: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "erase_retry_backoff",
-                    )?),
-                });
-            }
-            "m.array" => {
-                m.array = Some(ArrayCounters {
-                    ops: parse_u64(cur, t.next(), "ops")?,
-                    bytes_read: parse_u64(cur, t.next(), "bytes_read")?,
-                    bytes_written: parse_u64(cur, t.next(), "bytes_written")?,
-                    degraded_reads: parse_u64(cur, t.next(), "degraded_reads")?,
-                    parity_updates: parse_u64(cur, t.next(), "parity_updates")?,
-                    rebuild_stripes: parse_u64(cur, t.next(), "rebuild_stripes")?,
-                    rebuilds_completed: parse_u64(cur, t.next(), "rebuilds_completed")?,
-                    rebuild_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "rebuild_time",
-                    )?),
-                    device_deaths: parse_u64(cur, t.next(), "device_deaths")?,
-                    data_loss_events: parse_u64(cur, t.next(), "data_loss_events")?,
-                    vulnerability: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "vulnerability",
-                    )?),
-                    power_failures: parse_u64(cur, t.next(), "power_failures")?,
-                    recovery_time: SimDuration::from_nanos(parse_u64(
-                        cur,
-                        t.next(),
-                        "recovery_time",
-                    )?),
-                    read_only_rejections: parse_u64(cur, t.next(), "read_only_rejections")?,
-                });
-            }
+            "m.cache" => m.cache = Some(decode_counters(cur, &mut t)?),
+            "m.sram" => m.sram = Some(decode_counters(cur, &mut t)?),
+            "m.disk" => m.disk = Some(decode_counters(cur, &mut t)?),
+            "m.flashdisk" => m.flash_disk = Some(decode_counters(cur, &mut t)?),
+            "m.card" => m.flash_card = Some(decode_counters(cur, &mut t)?),
+            "m.array" => m.array = Some(decode_counters(cur, &mut t)?),
             "m.wear" => {
                 m.wear = Some(WearStats {
-                    max_erase: parse_u64(cur, t.next(), "max_erase")? as u32,
+                    max_erase: parse_u32(cur, t.next(), "max_erase")?,
                     mean_erase: parse_f64_bits(cur, t.next(), "mean_erase")?,
                     total: parse_u64(cur, t.next(), "total")?,
                 });
@@ -704,7 +538,7 @@ fn parse(
         let mut t = line.split_whitespace();
         match t.next().unwrap_or("") {
             "row" => {
-                let index = parse_u64(&cur, t.next(), "index")? as u32;
+                let index = parse_u32(&cur, t.next(), "index")?;
                 let users = parse_u64(&cur, t.next(), "users")?;
                 let workload = intern(&parse_str(&cur, t.next(), "workload")?);
                 let device = intern(&parse_str(&cur, t.next(), "device")?);
@@ -725,8 +559,8 @@ fn parse(
                 });
             }
             "quarantine" => {
-                let shard = parse_u64(&cur, t.next(), "shard")? as u32;
-                let attempts = parse_u64(&cur, t.next(), "attempts")? as u32;
+                let shard = parse_u32(&cur, t.next(), "shard")?;
+                let attempts = parse_u32(&cur, t.next(), "attempts")?;
                 let cause = parse_str(&cur, t.next(), "cause")?;
                 state.quarantined.push(ShardError {
                     shard,
@@ -900,6 +734,94 @@ mod tests {
             .collect();
         let err = parse(&without, fp, total_chunks, shards).unwrap_err();
         assert!(err.contains("coverage mismatch"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_out_of_range_u32_fields() {
+        let (state, opts, total_chunks, shards) = state_after_chaos();
+        let fp = fingerprint(&opts, Scale::quick());
+        let doc = encode(&state, fp, total_chunks, shards);
+        // Adding 2^32 to a u32 field must be an error, not a silent wrap
+        // back to the original value.
+        for (tag, position, what) in [
+            ("row", 1, "index"),
+            ("quarantine", 1, "shard"),
+            ("quarantine", 2, "attempts"),
+            ("m.wear", 1, "max_erase"),
+        ] {
+            let line = doc
+                .lines()
+                .find(|l| l.split(' ').next() == Some(tag))
+                .unwrap_or_else(|| panic!("no {tag} line"));
+            let mut tokens: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            let value: u64 = tokens[position].parse().expect("integer field");
+            tokens[position] = (value + (1 << 32)).to_string();
+            let hostile = doc.replacen(line, &tokens.join(" "), 1);
+            let err = parse(&hostile, fp, total_chunks, shards).unwrap_err();
+            assert!(err.contains(&format!("bad {what}")), "{tag}: {err}");
+        }
+    }
+
+    /// Checks one counter set's generated code and returns it filled with
+    /// distinct non-zero values drawn from `next`; `keys` collects every
+    /// export key seen so far, so keys must be unique across sets too.
+    fn check_counter_set<C: Counters + std::fmt::Debug + PartialEq>(
+        prefix: &str,
+        next: &mut u64,
+        keys: &mut Vec<&'static str>,
+    ) -> C {
+        let mut fill = || {
+            C::try_from_entries(|_| {
+                *next += 1;
+                Ok::<_, ()>(*next)
+            })
+            .expect("infallible")
+        };
+        let (a, b) = (fill(), fill());
+        let mut sum = a;
+        sum.merge(&b);
+        let added: Vec<_> = a
+            .entries()
+            .zip(b.entries())
+            .map(|((key, x), (_, y))| (key, x + y))
+            .collect();
+        assert_eq!(sum.entries().collect::<Vec<_>>(), added, "merge adds");
+        let view: Vec<_> = a.entries().collect();
+        let mut values = view.iter().map(|&(_, v)| v);
+        let back = C::try_from_entries(|_| values.next().ok_or(())).expect("one value per key");
+        assert_eq!(back, a, "the view inverts");
+        for (key, _) in view {
+            assert!(key.starts_with(&format!("{prefix}.")), "{key}");
+            assert!(!keys.contains(&key), "duplicate key {key}");
+            keys.push(key);
+        }
+        a
+    }
+
+    #[test]
+    fn every_counter_set_merges_exports_and_checkpoints() {
+        let (mut next, mut keys) = (0, Vec::new());
+        let mut m = Metrics::empty("all counter sets");
+        m.cache = Some(check_counter_set("dram", &mut next, &mut keys));
+        m.sram = Some(check_counter_set("sram", &mut next, &mut keys));
+        m.disk = Some(check_counter_set("disk", &mut next, &mut keys));
+        m.flash_disk = Some(check_counter_set("flashdisk", &mut next, &mut keys));
+        m.flash_card = Some(check_counter_set("card", &mut next, &mut keys));
+        m.array = Some(check_counter_set("array", &mut next, &mut keys));
+        m.wear = Some(WearStats {
+            max_erase: 7,
+            mean_erase: 2.5,
+            total: 99,
+        });
+        assert_eq!(keys.len(), 59);
+        let exported = m.counters();
+        for key in &keys {
+            assert_ne!(exported.get(key), 0, "{key} exported");
+        }
+        let mut doc = String::new();
+        encode_metrics(&mut doc, &m);
+        let back = decode_metrics(&mut Lines::new(&doc)).expect("round trip");
+        assert_eq!(format!("{back:?}"), format!("{m:?}"));
     }
 
     #[test]

@@ -31,6 +31,10 @@
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
+/// Default bytes of file-allocation-table metadata a magnetic disk
+/// rescans on recovery ([`FaultConfig::fat_scan_bytes`]).
+pub const DEFAULT_FAT_SCAN_BYTES: u64 = 128 * 1024;
+
 /// RNG stream selector for device-level (write/erase) fault draws.
 const DEVICE_FAULT_STREAM: u64 = 0x000f_a017_0001;
 /// RNG stream selector for the power-failure schedule.
@@ -82,7 +86,7 @@ impl FaultConfig {
             max_retries: 3,
             retry_backoff: SimDuration::from_micros(250),
             power_fail_mean: None,
-            fat_scan_bytes: 128 * 1024,
+            fat_scan_bytes: DEFAULT_FAT_SCAN_BYTES,
             death_rate: 0.0,
             seed: 0,
         }

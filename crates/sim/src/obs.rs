@@ -545,6 +545,138 @@ impl CounterRegistry {
     }
 }
 
+/// A field type a [`counters!`](crate::counters) struct may hold: a plain
+/// count, or a duration exported as integer nanoseconds.
+pub trait CounterValue: Copy {
+    /// The exported value.
+    fn to_u64(self) -> u64;
+    /// Rebuilds the field from its exported value.
+    fn from_u64(value: u64) -> Self;
+}
+
+impl CounterValue for u64 {
+    fn to_u64(self) -> u64 {
+        self
+    }
+
+    fn from_u64(value: u64) -> Self {
+        value
+    }
+}
+
+impl CounterValue for SimDuration {
+    fn to_u64(self) -> u64 {
+        self.as_nanos()
+    }
+
+    fn from_u64(value: u64) -> Self {
+        SimDuration::from_nanos(value)
+    }
+}
+
+/// A set of additive counters declared with [`counters!`](crate::counters).
+///
+/// Everything here is generated from the one field list, so adding a
+/// counter is one line: merge, export and checkpoint follow.
+pub trait Counters: Copy + Default {
+    /// Adds `other` into `self` field by field (fleet aggregation: every
+    /// field is a count or a duration, so merging is addition).
+    fn merge(&mut self, other: &Self);
+
+    /// The `(key, value)` view in field order, durations in nanoseconds.
+    /// Keys are export keys: `"card.erasures"`, `"disk.recovery_ns"`.
+    fn entries(&self) -> impl Iterator<Item = (&'static str, u64)>;
+
+    /// The inverse of [`entries`](Self::entries): asks `value` for each
+    /// key in field order and builds the set from the answers.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `value` returns.
+    fn try_from_entries<E>(value: impl FnMut(&'static str) -> Result<u64, E>) -> Result<Self, E>;
+}
+
+/// Declares a [`Counters`] struct from one field list.
+///
+/// Each field is listed once, with its doc comment and type (`u64` or
+/// [`SimDuration`]). Its export key is `prefix.name`, or
+/// `prefix.<key>` when the field gives `=> "<key>"` (the duration fields
+/// use `_ns` keys). The macro emits the struct — `pub` fields in list
+/// order, deriving `Debug, Clone, Copy, Default, PartialEq, Eq` — and its
+/// [`Counters`] impl.
+///
+/// ```
+/// use mobistore_sim::obs::Counters;
+/// use mobistore_sim::time::SimDuration;
+///
+/// mobistore_sim::counters! {
+///     /// Example counters.
+///     pub struct Demo in "demo" {
+///         /// A count.
+///         hits: u64,
+///         /// A duration, exported in nanoseconds.
+///         busy: SimDuration => "busy_ns",
+///     }
+/// }
+///
+/// let mut d = Demo { hits: 2, busy: SimDuration::from_nanos(5) };
+/// d.merge(&d.clone());
+/// let view: Vec<_> = d.entries().collect();
+/// assert_eq!(view, [("demo.hits", 4), ("demo.busy_ns", 10)]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (@key $prefix:literal $field:ident) => {
+        concat!($prefix, ".", stringify!($field))
+    };
+    (@key $prefix:literal $field:ident $key:literal) => {
+        concat!($prefix, ".", $key)
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident in $prefix:literal {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty $(=> $key:literal)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $(
+                $(#[$fmeta])*
+                pub $field: $ty,
+            )*
+        }
+
+        impl $crate::obs::Counters for $name {
+            #[inline]
+            fn merge(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
+
+            fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((
+                    $crate::counters!(@key $prefix $field $($key)?),
+                    $crate::obs::CounterValue::to_u64(self.$field),
+                )),*]
+                .into_iter()
+            }
+
+            fn try_from_entries<E>(
+                mut value: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<Self, E> {
+                Ok($name {
+                    $($field: $crate::obs::CounterValue::from_u64(value(
+                        $crate::counters!(@key $prefix $field $($key)?),
+                    )?),)*
+                })
+            }
+        }
+    };
+}
+
 /// An observer that counts events by name in a [`CounterRegistry`].
 #[derive(Debug, Clone, Default)]
 pub struct CountingObserver {
