@@ -169,28 +169,24 @@ impl BufferCache {
     /// that miss, updating hit/miss counters.
     pub fn read_probe(&mut self, lbns: &[u64]) -> Vec<u64> {
         let mut misses = Vec::new();
-        for &lbn in lbns {
-            if self.lru.touch(lbn) {
-                self.stats.read_hits += 1;
-            } else {
-                self.stats.read_misses += 1;
-                misses.push(lbn);
-            }
-        }
+        self.probe_into(lbns, &mut misses);
         misses
     }
 
-    /// [`read_probe`](Self::read_probe), reporting the hit/miss split to
-    /// an observer as a [`Event::CacheRead`] stamped `now` plus a
-    /// [`SpanKind::CacheLookup`] span covering the cache's access time
-    /// for the probed blocks.
+    /// [`read_probe`](Self::read_probe) into a caller's buffer: `misses`
+    /// is cleared and refilled, so a caller that keeps it allocates
+    /// nothing per probe. Reports the hit/miss split to an observer as a
+    /// [`Event::CacheRead`] stamped `now` plus a [`SpanKind::CacheLookup`]
+    /// span covering the cache's access time for the probed blocks.
     pub fn read_probe_obs<O: Observer>(
         &mut self,
         now: SimTime,
         lbns: &[u64],
+        misses: &mut Vec<u64>,
         obs: &mut O,
-    ) -> Vec<u64> {
-        let misses = self.read_probe(lbns);
+    ) {
+        misses.clear();
+        self.probe_into(lbns, misses);
         let hits = (lbns.len() - misses.len()) as u32;
         obs.record(&Event::CacheRead {
             t: now,
@@ -205,7 +201,17 @@ impl BufferCache {
             now,
             now + self.access_time(lbns.len() as u64 * self.block_size),
         ));
-        misses
+    }
+
+    fn probe_into(&mut self, lbns: &[u64], misses: &mut Vec<u64>) {
+        for &lbn in lbns {
+            if self.lru.touch(lbn) {
+                self.stats.read_hits += 1;
+            } else {
+                self.stats.read_misses += 1;
+                misses.push(lbn);
+            }
+        }
     }
 
     /// Inserts a block (`dirty` marks unwritten data under write-back);

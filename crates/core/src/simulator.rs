@@ -19,7 +19,7 @@ use mobistore_device::array::ArrayDevice;
 use mobistore_device::disk::MagneticDisk;
 use mobistore_device::flashdisk::FlashDisk;
 use mobistore_device::{Device, DeviceError, Dir, Request, Service};
-use mobistore_flash::store::{FlashCardConfig, FlashCardStore};
+use mobistore_flash::store::{FlashCardConfig, FlashCardStore, LBN_LIMIT};
 use mobistore_sim::fault::{DeathSchedule, PowerFailSchedule};
 use mobistore_sim::hist::LatencyRecorder;
 use mobistore_sim::obs::{Event, NoopObserver, Observer, OpKind};
@@ -187,6 +187,15 @@ pub enum ConfigError {
         /// Its block count.
         blocks: u32,
     },
+    /// A flash card's preload — the trace's working set plus filler up to
+    /// the target utilization — reaches past the card's lbn limit
+    /// ([`mobistore_flash::store::LBN_LIMIT`]).
+    LbnLimit {
+        /// One past the highest lbn the preload would map.
+        end: u64,
+        /// The exclusive lbn limit.
+        limit: u64,
+    },
     /// A fleet checkpoint could not be used for this run: unreadable,
     /// malformed, or fingerprint-mismatched against the configuration.
     Checkpoint(String),
@@ -213,6 +222,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BlockRangeOverflow { op, lbn, blocks } => write!(
                 f,
                 "trace op {op}: block range lbn {lbn} + {blocks} blocks overflows"
+            ),
+            ConfigError::LbnLimit { end, limit } => write!(
+                f,
+                "flash card preload (working set plus filler) reaches lbn {end}, past \
+                 the card's lbn limit {limit}"
             ),
             ConfigError::Checkpoint(reason) => write!(f, "checkpoint: {reason}"),
         }
@@ -340,26 +354,62 @@ pub fn try_simulate_observed<O: Observer>(
         }
         .into());
     }
-    if let BackendConfig::FlashCard {
-        params,
-        capacity_bytes,
-        utilization: Some(frac),
-        ..
-    } = &config.backend
-    {
-        let capacity_blocks =
-            (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
-        let target = (capacity_blocks as f64 * frac).round() as u64;
-        let working = working_set(&trace.ops).len() as u64;
-        if working > target {
-            return Err(ConfigError::FlashOverfull {
-                working_set_blocks: working,
-                target_blocks: target,
-            }
-            .into());
+    // A card's preload is planned once, and checked against the card's
+    // capacity and lbn limit, before anything is built.
+    let card_preload = match &config.backend {
+        BackendConfig::FlashCard {
+            params,
+            capacity_bytes,
+            utilization,
+            ..
+        } => {
+            let capacity_blocks =
+                (capacity_bytes / params.segment_size) * (params.segment_size / trace.block_size);
+            card_preload(trace, capacity_blocks, *utilization)?
         }
+        _ => Vec::new(),
+    };
+    Ok(Simulator::new(config, trace, card_preload, obs).run(trace, options))
+}
+
+/// The blocks a flash card is preloaded with (§5.2's setup): the trace's
+/// working set, then filler blocks above every lbn the trace names up to
+/// the target utilization. Fails when the working set exceeds that target
+/// or the preload would reach the card's lbn limit.
+fn card_preload(
+    trace: &Trace,
+    capacity_blocks: u64,
+    utilization: Option<f64>,
+) -> Result<Vec<u64>, ConfigError> {
+    let mut blocks = working_set(&trace.ops);
+    let w = blocks.len() as u64;
+    let target = match utilization {
+        Some(frac) => (capacity_blocks as f64 * frac).round() as u64,
+        None => w,
+    };
+    if w > target {
+        return Err(ConfigError::FlashOverfull {
+            working_set_blocks: w,
+            target_blocks: target,
+        });
     }
-    Ok(Simulator::new(config, trace, obs).run(trace, options))
+    let filler = target - w;
+    let filler_base = trace
+        .blocks_spanned()
+        .max(blocks.last().map_or(0, |l| l + 1));
+    let end = if filler == 0 {
+        blocks.last().map_or(0, |l| l + 1)
+    } else {
+        filler_base.saturating_add(filler)
+    };
+    if end > LBN_LIMIT {
+        return Err(ConfigError::LbnLimit {
+            end,
+            limit: LBN_LIMIT,
+        });
+    }
+    blocks.extend(filler_base..filler_base + filler);
+    Ok(blocks)
 }
 
 /// The distinct non-trim blocks `ops` touch, sorted.
@@ -404,11 +454,31 @@ struct Simulator<'o, O: Observer> {
     /// Critical-path device service time accumulated by the current
     /// operation.
     op_service: SimDuration,
+    scratch: Scratch,
     obs: &'o mut O,
 }
 
+/// Buffers the read and write paths reuse from op to op, so they do not
+/// allocate once warm: the op's blocks, its DRAM misses, and the dirty
+/// blocks its cache evictions must flush.
+#[derive(Default)]
+struct Scratch {
+    lbns: Vec<u64>,
+    misses: Vec<u64>,
+    flushes: Vec<u64>,
+}
+
+impl Scratch {
+    fn fill_lbns(&mut self, op: &DiskOp) {
+        self.lbns.clear();
+        self.lbns.extend(op.lbn..op.lbn + u64::from(op.blocks));
+    }
+}
+
 impl<'o, O: Observer> Simulator<'o, O> {
-    fn new(config: &SystemConfig, trace: &Trace, obs: &'o mut O) -> Self {
+    /// Builds the memory hierarchy and backend; a flash card is preloaded
+    /// with `card_preload` (see [`card_preload`]).
+    fn new(config: &SystemConfig, trace: &Trace, card_preload: Vec<u64>, obs: &'o mut O) -> Self {
         let block_size = trace.block_size;
         let dram = if config.dram_bytes >= block_size {
             Some(BufferCache::new(
@@ -449,9 +519,9 @@ impl<'o, O: Observer> Simulator<'o, O> {
             BackendConfig::FlashCard {
                 params,
                 capacity_bytes,
-                utilization,
                 mode,
                 victim_policy,
+                ..
             } => {
                 let mut card = FlashCardStore::new(FlashCardConfig {
                     params: params.clone(),
@@ -463,7 +533,10 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 })
                 .with_faults(config.fault)
                 .with_integrity(config.integrity);
-                preload_card(&mut card, trace, *utilization);
+                // Aged layout (§5.2): the preallocated data is spread
+                // across all segments, so free space exists as cleanable
+                // garbage rather than pristine erased segments.
+                card.preload_aged(card_preload);
                 Backend::FlashCard(card)
             }
             BackendConfig::Array {
@@ -500,6 +573,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
             uncorrectable_reads: 0,
             op_queue: SimDuration::ZERO,
             op_service: SimDuration::ZERO,
+            scratch: Scratch::default(),
             obs,
         }
     }
@@ -591,16 +665,17 @@ impl<'o, O: Observer> Simulator<'o, O> {
 
     fn do_read(&mut self, op: &DiskOp) -> SimDuration {
         let now = op.time;
-        let lbns: Vec<u64> = (op.lbn..op.lbn + u64::from(op.blocks)).collect();
         let bytes = op.bytes(self.block_size);
+        let mut s = std::mem::take(&mut self.scratch);
+        s.fill_lbns(op);
 
-        let misses = match self.dram.as_mut() {
+        let misses: &[u64] = match self.dram.as_mut() {
             Some(cache) => {
-                let misses = cache.read_probe_obs(now, &lbns, self.obs);
+                cache.read_probe_obs(now, &s.lbns, &mut s.misses, self.obs);
                 cache.charge_access(bytes);
-                misses
+                &s.misses
             }
-            None => lbns.clone(),
+            None => &s.lbns,
         };
 
         let mut response = self
@@ -608,20 +683,20 @@ impl<'o, O: Observer> Simulator<'o, O> {
             .as_ref()
             .map_or(SimDuration::ZERO, |c| c.access_time(bytes));
         if !misses.is_empty() {
-            let (fetch, fill_ok) = self.fetch_from_backend(now, op, &misses);
+            let (fetch, fill_ok) = self.fetch_from_backend(now, op, misses);
             response += fetch;
             if let Some(cache) = self.dram.as_mut() {
                 if fill_ok {
                     // Fill the cache with what was fetched.
-                    let mut flushes = Vec::new();
-                    for &lbn in &misses {
+                    s.flushes.clear();
+                    for &lbn in misses {
                         if let Some(evicted) = cache.insert(lbn, false) {
                             if evicted.dirty {
-                                flushes.push(evicted.lbn);
+                                s.flushes.push(evicted.lbn);
                             }
                         }
                     }
-                    self.flush(now, &flushes, false);
+                    self.flush(now, &s.flushes, false);
                 } else {
                     // The device reported the access uncorrectable: never
                     // cache data it could not deliver intact.
@@ -629,6 +704,7 @@ impl<'o, O: Observer> Simulator<'o, O> {
                 }
             }
         }
+        self.scratch = s;
         response
     }
 
@@ -686,28 +762,31 @@ impl<'o, O: Observer> Simulator<'o, O> {
 
     fn do_write(&mut self, op: &DiskOp) -> SimDuration {
         let now = op.time;
-        let lbns: Vec<u64> = (op.lbn..op.lbn + u64::from(op.blocks)).collect();
         let bytes = op.bytes(self.block_size);
+        let mut s = std::mem::take(&mut self.scratch);
+        s.fill_lbns(op);
+        s.flushes.clear();
 
         let mut dram_time = SimDuration::ZERO;
-        let mut writeback_evictions = Vec::new();
         if let Some(cache) = self.dram.as_mut() {
-            let flushed = cache.write_obs(now, &lbns, self.obs);
+            let flushed = cache.write_obs(now, &s.lbns, self.obs);
             cache.charge_access(bytes);
             dram_time = cache.access_time(bytes);
-            writeback_evictions = flushed.into_iter().map(|e| e.lbn).collect();
+            s.flushes.extend(flushed.iter().map(|e| e.lbn));
         }
 
-        match self.write_policy {
+        let response = match self.write_policy {
             WritePolicy::WriteBack if self.dram.is_some() => {
                 // Dirty data stays in DRAM; only evictions reach storage,
                 // off the critical path of this write (the device still
                 // becomes busy, delaying later requests).
-                self.flush(now, &writeback_evictions, false);
+                self.flush(now, &s.flushes, false);
                 dram_time
             }
-            _ => dram_time + self.write_to_backend(now, op, &lbns),
-        }
+            _ => dram_time + self.write_to_backend(now, op, &s.lbns),
+        };
+        self.scratch = s;
+        response
     }
 
     /// Sends a write through the non-volatile path; returns its response
@@ -958,35 +1037,6 @@ impl<'o, O: Observer> Simulator<'o, O> {
             uncorrectable_reads: self.uncorrectable_reads,
         }
     }
-}
-
-/// Preloads a flash card with the trace's working set plus filler blocks
-/// up to the target utilization (§5.2's experimental setup).
-fn preload_card(card: &mut FlashCardStore, trace: &Trace, utilization: Option<f64>) {
-    let working = working_set(&trace.ops);
-    let w = working.len() as u64;
-
-    let target = match utilization {
-        Some(frac) => {
-            let t = (card.capacity_blocks() as f64 * frac).round() as u64;
-            assert!(
-                t >= w,
-                "trace working set ({w} blocks) exceeds {frac:.0}% of a {}-block card; \
-                 increase the flash capacity",
-                card.capacity_blocks()
-            );
-            t
-        }
-        None => w,
-    };
-    let filler_base = trace
-        .blocks_spanned()
-        .max(working.last().map_or(0, |l| l + 1));
-    let filler = target - w;
-    // Aged layout (§5.2): the preallocated data is spread across all
-    // segments, so free space exists as cleanable garbage rather than
-    // pristine erased segments.
-    card.preload_aged(working.into_iter().chain(filler_base..filler_base + filler));
 }
 
 /// Preloads an erasure-coded array with the trace's working set, so every
@@ -1254,6 +1304,42 @@ mod tests {
             .with_flash_capacity(MIB)
             .with_utilization(0.01);
         let _ = simulate(&cfg, &trace);
+    }
+
+    #[test]
+    fn card_preload_past_the_lbn_limit_is_a_config_error() {
+        let one_write = |lbn| {
+            let mut t = Trace::new(1024);
+            t.push(DiskOp {
+                time: SimTime::ZERO,
+                kind: DiskOpKind::Write,
+                lbn,
+                blocks: 4,
+                file: FileId(0),
+            });
+            t
+        };
+        let cfg = SystemConfig::flash_card(intel_datasheet()).with_flash_capacity(4 * MIB);
+        // The working set itself lies past the limit; the filler above it
+        // brings the preload to 80% of the card's 4096 blocks.
+        let err = try_simulate(&cfg, &one_write(1 << 40), RunOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Config(ConfigError::LbnLimit {
+                end: (1 << 40) + 3277,
+                limit: LBN_LIMIT
+            })
+        );
+        assert!(err.to_string().contains("lbn limit"), "{err}");
+        // The working set fits, but the filler placed above it does not.
+        let err = try_simulate(&cfg, &one_write(LBN_LIMIT - 8), RunOptions::default());
+        assert_eq!(
+            err.unwrap_err(),
+            SimError::Config(ConfigError::LbnLimit {
+                end: LBN_LIMIT - 8 + 3277,
+                limit: LBN_LIMIT
+            })
+        );
     }
 
     #[test]

@@ -99,6 +99,17 @@ pub enum DeviceError {
         /// Concurrent losses the geometry tolerates (`m`).
         tolerated: u32,
     },
+    /// A flash card write reached past the largest logical block number
+    /// its block table can map (`mobistore_flash::store::LBN_LIMIT`).
+    /// Nothing was written.
+    LbnLimit {
+        /// First block of the refused write.
+        lbn: u64,
+        /// Its block count.
+        blocks: u32,
+        /// The exclusive lbn limit.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for DeviceError {
@@ -137,6 +148,10 @@ impl std::fmt::Display for DeviceError {
                 f,
                 "array failed: {lost} children dead, geometry tolerates {tolerated}; \
                  degraded to read-only"
+            ),
+            DeviceError::LbnLimit { lbn, blocks, limit } => write!(
+                f,
+                "write of {blocks} blocks at lbn {lbn} reaches the card's lbn limit {limit}"
             ),
         }
     }

@@ -22,8 +22,6 @@
 //! * every segment counts its erasures, driving the endurance analysis
 //!   (§5.2: 100,000-cycle guarantee).
 
-use std::collections::HashMap;
-
 use mobistore_device::params::FlashCardParams;
 use mobistore_device::{Device, DeviceError, Dir, Request, Service};
 use mobistore_sim::crashcheck::FIRST_GENERATION;
@@ -40,6 +38,17 @@ use mobistore_sim::time::{SimDuration, SimTime};
 /// map after a power failure — the MFFS log-scan cost, not a full data
 /// read.
 const RECOVERY_HEADER_BYTES: u64 = 32;
+
+/// Exclusive upper bound on the logical block numbers a card maps.
+///
+/// The block table is dense — one 16-byte entry per lbn up to the highest
+/// one mapped — so this caps it at 256 MiB. Writes reaching the limit fail
+/// with [`DeviceError::LbnLimit`]; reads and trims beyond the table are
+/// served as unmapped and never grow it.
+pub const LBN_LIMIT: u64 = 1 << 24;
+
+// Slot entries store lbns as `u32`.
+const _: () = assert!(LBN_LIMIT <= 1 << 32);
 
 /// When the cleaner runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +113,8 @@ struct Segment {
     state: SegState,
     /// Live blocks currently mapped into this segment.
     live: u32,
-    /// Slots consumed (live + dead); only meaningful for the frontier.
+    /// Slots consumed (live + dead), filled in order: slots `0..used` hold
+    /// data.
     used: u32,
     /// Times this segment has been erased.
     erase_count: u32,
@@ -205,13 +215,28 @@ impl BlockCensus {
 /// Where one logical block lives on the card.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockLoc {
-    /// Segment holding the block's current copy.
+    /// Segment holding the block's current copy; `u32::MAX` marks an
+    /// unmapped hole in the block table.
     seg: u32,
+    /// Slot within `seg` the copy was written to.
+    slot: u32,
     /// Monotone write generation stamped when the block's *data* was
     /// written (cleaning relocates a block without changing its
     /// generation). This is what the differential crash checker compares
     /// against its shadow model.
     gen: u64,
+}
+
+impl BlockLoc {
+    const UNMAPPED: BlockLoc = BlockLoc {
+        seg: u32::MAX,
+        slot: 0,
+        gen: 0,
+    };
+
+    fn is_mapped(&self) -> bool {
+        self.seg != u32::MAX
+    }
 }
 
 /// One row of [`FlashCardStore::snapshot`]: the recovered location and
@@ -286,8 +311,18 @@ pub struct FlashCardStore {
     config: FlashCardConfig,
     blocks_per_segment: u32,
     segments: Vec<Segment>,
-    /// Logical block number → location and write generation.
-    map: HashMap<u64, BlockLoc>,
+    /// Logical block number → location and write generation: a dense
+    /// table with [`BlockLoc::UNMAPPED`] holes, grown on demand up to
+    /// [`LBN_LIMIT`] entries.
+    table: Vec<BlockLoc>,
+    /// Mapped entries in `table`.
+    mapped: u64,
+    /// The lbn last written into each slot, `blocks_per_segment` entries
+    /// per segment. Slot `k` of segment `s` is live iff `table[lbn]` points
+    /// back at `(s, k)`, so overwrites, trims and drops need no update
+    /// here, and the cleaner and scrubber find a segment's live blocks
+    /// without touching the rest of the card.
+    slots: Vec<u32>,
     /// Segment currently accepting writes.
     frontier: u32,
     /// Fully-erased segments ready to become the frontier.
@@ -369,8 +404,10 @@ impl FlashCardStore {
         Ok(FlashCardStore {
             config,
             blocks_per_segment,
+            slots: vec![0; segments.len() * blocks_per_segment as usize],
             segments,
-            map: HashMap::new(),
+            table: Vec::new(),
+            mapped: 0,
             frontier: 0,
             erased,
             bad: Vec::new(),
@@ -524,17 +561,16 @@ impl FlashCardStore {
     /// lbn — for differential comparison against a shadow model after
     /// crash recovery.
     pub fn snapshot(&self) -> Vec<BlockEntry> {
-        let mut rows: Vec<BlockEntry> = self
-            .map
+        self.table
             .iter()
-            .map(|(&lbn, loc)| BlockEntry {
-                lbn,
+            .enumerate()
+            .filter(|(_, loc)| loc.is_mapped())
+            .map(|(lbn, loc)| BlockEntry {
+                lbn: lbn as u64,
                 segment: loc.seg,
                 generation: loc.gen,
             })
-            .collect();
-        rows.sort_unstable_by_key(|r| r.lbn);
-        rows
+            .collect()
     }
 
     /// Test-only sabotage hook: silently drops one live block while keeping
@@ -544,15 +580,10 @@ impl FlashCardStore {
     /// called outside tests. Returns false if the block was not mapped.
     #[doc(hidden)]
     pub fn sabotage_lose_block(&mut self, lbn: u64) -> bool {
-        let Some(loc) = self.map.remove(&lbn) else {
-            return false;
-        };
         // Internally consistent data loss: the slot becomes "dead", the
         // census still partitions, live counts still agree — only the
         // shadow model can tell the block should exist.
-        self.segments[loc.seg as usize].live -= 1;
-        self.live_blocks -= 1;
-        true
+        self.unmap(lbn).is_some()
     }
 
     /// Returns total energy consumed so far.
@@ -602,7 +633,8 @@ impl FlashCardStore {
     /// # Panics
     ///
     /// Panics if preloading would leave less than one segment of free
-    /// space (the cleaner could deadlock).
+    /// space (the cleaner could deadlock), or if an lbn is at or beyond
+    /// [`LBN_LIMIT`].
     pub fn preload(&mut self, lbns: impl IntoIterator<Item = u64>) {
         for lbn in lbns {
             assert!(
@@ -610,7 +642,8 @@ impl FlashCardStore {
                 "preload would exceed safe capacity ({} blocks)",
                 self.capacity_blocks()
             );
-            if self.map.contains_key(&lbn) {
+            assert!(lbn < LBN_LIMIT, "preload of lbn {lbn} beyond LBN_LIMIT");
+            if self.loc(lbn).is_some() {
                 continue;
             }
             self.place_block(lbn);
@@ -631,8 +664,9 @@ impl FlashCardStore {
     ///
     /// # Panics
     ///
-    /// Panics if called on a non-empty card or if the blocks do not fit in
-    /// the fillable segments.
+    /// Panics if called on a non-empty card, if the blocks do not fit in
+    /// the fillable segments, if an lbn repeats, or if an lbn is at or
+    /// beyond [`LBN_LIMIT`] (the dense block table's bound).
     pub fn preload_aged(&mut self, lbns: impl IntoIterator<Item = u64>) {
         assert_eq!(self.live_blocks, 0, "preload_aged requires an empty card");
         let lbns: Vec<u64> = lbns.into_iter().collect();
@@ -652,11 +686,21 @@ impl FlashCardStore {
         // no correlation between logical adjacency and segment locality.
         let reserve = self.segments.len() as u32 - 1;
         let mut seg_live = vec![0u32; self.segments.len()];
+        if let Some(&top) = lbns.iter().max() {
+            assert!(
+                top < LBN_LIMIT,
+                "aged preload of lbn {top} beyond LBN_LIMIT"
+            );
+            self.table.reserve_exact(top as usize + 1);
+        }
         for (i, lbn) in lbns.into_iter().enumerate() {
             let seg = 1 + (i % fillable) as u32;
+            let slot = seg_live[seg as usize];
             let gen = self.write_gen;
             self.write_gen += 1;
-            let old = self.map.insert(lbn, BlockLoc { seg, gen });
+            let idx = self.slot_index(seg, slot);
+            self.slots[idx] = lbn as u32;
+            let old = self.map(lbn, BlockLoc { seg, slot, gen });
             assert!(old.is_none(), "duplicate lbn in aged preload");
             self.live_blocks += 1;
             seg_live[seg as usize] += 1;
@@ -744,9 +788,8 @@ impl FlashCardStore {
         let mut retry_extra = SimDuration::ZERO;
         let mut retry_attempts = 0u32;
         let mut retry_lbn = 0u64;
-        for i in 0..u64::from(blocks) {
-            let b = lbn + i;
-            let Some(loc) = self.map.get(&b) else {
+        for b in self.table_range(lbn, blocks) {
+            let Some(loc) = self.loc(b) else {
                 // Unmapped blocks have no stored charge to decay; they are
                 // served (as before) without consuming a bit-error draw.
                 continue;
@@ -799,7 +842,7 @@ impl FlashCardStore {
                         lbn: b,
                         errors,
                     });
-                    self.drop_block(b);
+                    self.unmap(b).expect("dropping a mapped block");
                     if result.is_ok() {
                         result = Err(DeviceError::Uncorrectable { lbn: b, errors });
                     }
@@ -827,14 +870,6 @@ impl FlashCardStore {
         (Service { start, end }, result)
     }
 
-    /// Unmaps one live block (its slot becomes dead); shared by the
-    /// uncorrectable-read paths of reads and scrubbing.
-    fn drop_block(&mut self, lbn: u64) {
-        let loc = self.map.remove(&lbn).expect("dropping a mapped block");
-        self.segments[loc.seg as usize].live -= 1;
-        self.live_blocks -= 1;
-    }
-
     /// Moves `lbn` (keeping its write generation — relocation copies data,
     /// it does not rewrite it) off a high-error segment when a frontier
     /// slot is available without invoking the cleaner; returns whether the
@@ -850,7 +885,7 @@ impl FlashCardStore {
         if self.read_only || (self.frontier_full() && self.erased.is_empty()) {
             return false;
         }
-        let gen = self.map[&lbn].gen;
+        let gen = self.loc(lbn).expect("relocating a mapped block").gen;
         self.place_block_at(lbn, gen);
         self.stamp_frontier(at);
         self.counters.blocks_relocated += 1;
@@ -890,6 +925,13 @@ impl FlashCardStore {
         blocks: u32,
         obs: &mut O,
     ) -> Result<Service, DeviceError> {
+        if lbn.saturating_add(u64::from(blocks)) > LBN_LIMIT {
+            return Err(DeviceError::LbnLimit {
+                lbn,
+                blocks,
+                limit: LBN_LIMIT,
+            });
+        }
         if self.read_only {
             self.counters.eol_write_rejections += 1;
             return Err(self.read_only_error());
@@ -1018,20 +1060,92 @@ impl FlashCardStore {
         if self.frontier_full() {
             assert!(self.advance_frontier(), "place_block with no space");
         }
-        if let Some(old) = self.map.insert(
-            lbn,
-            BlockLoc {
-                seg: self.frontier,
-                gen,
-            },
-        ) {
+        let seg = self.frontier;
+        let slot = self.segments[seg as usize].used;
+        let idx = self.slot_index(seg, slot);
+        self.slots[idx] = lbn as u32;
+        if let Some(old) = self.map(lbn, BlockLoc { seg, slot, gen }) {
             self.segments[old.seg as usize].live -= 1;
         } else {
             self.live_blocks += 1;
         }
-        let f = &mut self.segments[self.frontier as usize];
+        let f = &mut self.segments[seg as usize];
         f.live += 1;
         f.used += 1;
+    }
+
+    /// Index of `(seg, slot)` in the slot table.
+    fn slot_index(&self, seg: u32, slot: u32) -> usize {
+        seg as usize * self.blocks_per_segment as usize + slot as usize
+    }
+
+    /// The location of `lbn`, if mapped.
+    fn loc(&self, lbn: u64) -> Option<BlockLoc> {
+        let loc = *self.table.get(usize::try_from(lbn).ok()?)?;
+        loc.is_mapped().then_some(loc)
+    }
+
+    /// The part of `lbn..lbn + blocks` the block table covers; blocks
+    /// beyond it are unmapped.
+    fn table_range(&self, lbn: u64, blocks: u32) -> std::ops::Range<u64> {
+        let end = self.table.len() as u64;
+        lbn.min(end)..lbn.saturating_add(u64::from(blocks)).min(end)
+    }
+
+    /// Maps `lbn` to `loc`, growing the table as needed (never past
+    /// [`LBN_LIMIT`] entries); returns the previous location, if any.
+    fn map(&mut self, lbn: u64, loc: BlockLoc) -> Option<BlockLoc> {
+        debug_assert!(lbn < LBN_LIMIT);
+        let i = lbn as usize;
+        let len = self.table.len();
+        if i >= len {
+            let want = (i + 1).max(2 * len).min(LBN_LIMIT as usize);
+            self.table.reserve_exact(want - len);
+            self.table.resize(i + 1, BlockLoc::UNMAPPED);
+        }
+        let old = std::mem::replace(&mut self.table[i], loc);
+        if old.is_mapped() {
+            Some(old)
+        } else {
+            self.mapped += 1;
+            None
+        }
+    }
+
+    /// Unmaps `lbn`: its slot becomes dead and the live counts drop.
+    /// Returns its old location, if it was mapped.
+    fn unmap(&mut self, lbn: u64) -> Option<BlockLoc> {
+        let loc = self.loc(lbn)?;
+        self.table[lbn as usize] = BlockLoc::UNMAPPED;
+        self.mapped -= 1;
+        self.segments[loc.seg as usize].live -= 1;
+        self.live_blocks -= 1;
+        Some(loc)
+    }
+
+    /// The live blocks of `seg` in slot order, as `(lbn, location)`.
+    fn live_slots(&self, seg: u32) -> impl Iterator<Item = (u64, BlockLoc)> + '_ {
+        let base = self.slot_index(seg, 0);
+        let used = self.segments[seg as usize].used as usize;
+        self.slots[base..base + used]
+            .iter()
+            .zip(0u32..)
+            .filter_map(move |(&lbn, slot)| {
+                let lbn = u64::from(lbn);
+                let loc = self.loc(lbn)?;
+                (loc.seg == seg && loc.slot == slot).then_some((lbn, loc))
+            })
+    }
+
+    /// The live blocks of `seg` as `(lbn, generation)`, sorted by lbn: the
+    /// cleaner relocates and the scrubber reads them in that order.
+    fn live_blocks_of(&self, seg: u32) -> Vec<(u64, u64)> {
+        let mut live: Vec<(u64, u64)> = self
+            .live_slots(seg)
+            .map(|(lbn, loc)| (lbn, loc.gen))
+            .collect();
+        live.sort_unstable();
+        live
     }
 
     /// Stamps the frontier's last-write time after a block lands there
@@ -1121,16 +1235,9 @@ impl FlashCardStore {
         // *time* of copying plus erasure is paid by the job as it runs.
         // Relocation preserves each block's write generation: the cleaner
         // moves data, it does not rewrite it.
-        let live: Vec<(u64, u64)> = self
-            .map
-            .iter()
-            .filter(|(_, loc)| loc.seg == victim)
-            .map(|(&lbn, loc)| (lbn, loc.gen))
-            .collect();
+        let live = self.live_blocks_of(victim);
         let copy_blocks = live.len() as u64;
-        let mut lbns = live;
-        lbns.sort_unstable(); // Determinism: HashMap iteration order varies.
-        for (lbn, gen) in lbns {
+        for (lbn, gen) in live {
             self.place_block_at(lbn, gen);
             self.stamp_frontier(at);
         }
@@ -1320,13 +1427,7 @@ impl FlashCardStore {
                 self.next_scrub += interval;
                 continue;
             };
-            let mut lbns: Vec<u64> = self
-                .map
-                .iter()
-                .filter(|(_, loc)| loc.seg == seg)
-                .map(|(&lbn, _)| lbn)
-                .collect();
-            lbns.sort_unstable(); // Determinism: HashMap iteration order varies.
+            let lbns = self.live_blocks_of(seg);
             let blocks = lbns.len() as u32;
             let begin = t.max(self.next_scrub);
             let pass = self.config.params.access_latency
@@ -1347,7 +1448,7 @@ impl FlashCardStore {
             let since = begin.saturating_since(s.written_at);
             let mut corrected = 0u32;
             let mut relocated = 0u32;
-            for lbn in lbns {
+            for (lbn, _) in lbns {
                 match self.integrity.classify_read(erase_count, since) {
                     ReadVerdict::Clean => {}
                     ReadVerdict::Corrected { errors } => {
@@ -1375,7 +1476,7 @@ impl FlashCardStore {
                             lbn,
                             errors,
                         });
-                        self.drop_block(lbn);
+                        self.unmap(lbn).expect("dropping a mapped block");
                     }
                 }
             }
@@ -1412,20 +1513,53 @@ impl FlashCardStore {
         None
     }
 
-    /// Validates internal bookkeeping; used by tests and the property
-    /// suite.
+    /// Validates internal bookkeeping, including a full audit of the block
+    /// table against the slot table; used by tests, the property suite and
+    /// crash recovery ([`Device::power_fail`]) in every build.
     ///
     /// # Panics
     ///
     /// Panics if any invariant is violated.
     pub fn check_invariants(&self) {
+        self.check_counts();
+        // Block table against slot table: every mapped lbn sits in a
+        // written slot that names it, and each segment's live count is
+        // exactly its live slots.
+        for (lbn, loc) in self.table.iter().enumerate() {
+            if !loc.is_mapped() {
+                continue;
+            }
+            let used = self.segments.get(loc.seg as usize).map_or(0, |s| s.used);
+            assert!(
+                loc.slot < used,
+                "lbn {lbn} maps to unwritten slot {} of segment {}",
+                loc.slot,
+                loc.seg
+            );
+            assert_eq!(
+                self.slots[self.slot_index(loc.seg, loc.slot)] as usize,
+                lbn,
+                "slot {} of segment {} does not point back at lbn {lbn}",
+                loc.slot,
+                loc.seg
+            );
+        }
+        for (i, s) in self.segments.iter().enumerate() {
+            assert_eq!(
+                self.live_slots(i as u32).count() as u64,
+                u64::from(s.live),
+                "segment {i} live count vs its live slots"
+            );
+        }
+    }
+
+    /// The counting half of [`check_invariants`](Self::check_invariants):
+    /// live totals, segment states and pools, and the census. It costs
+    /// O(segments), not O(capacity), so it can run after every operation.
+    fn check_counts(&self) {
         let live_sum: u64 = self.segments.iter().map(|s| u64::from(s.live)).sum();
         assert_eq!(live_sum, self.live_blocks, "segment live counts vs total");
-        assert_eq!(
-            self.map.len() as u64,
-            self.live_blocks,
-            "map size vs live blocks"
-        );
+        assert_eq!(self.mapped, self.live_blocks, "map size vs live blocks");
         assert!(self.live_blocks <= self.usable_blocks());
         let frontier = &self.segments[self.frontier as usize];
         assert_eq!(frontier.state, SegState::Frontier);
@@ -1448,6 +1582,7 @@ impl FlashCardStore {
                 );
             }
             assert!(s.live <= self.blocks_per_segment);
+            assert!(s.used <= self.blocks_per_segment);
         }
         for &e in &self.erased {
             assert_eq!(self.segments[e as usize].state, SegState::Erased);
@@ -1463,12 +1598,13 @@ impl FlashCardStore {
         );
     }
 
-    /// Runs [`check_invariants`](Self::check_invariants) after every
-    /// mutating operation in debug builds (tests); compiled out of release
-    /// binaries.
+    /// Runs [`check_counts`](Self::check_counts) after every mutating
+    /// operation in debug builds (tests); compiled out of release binaries.
+    /// The O(capacity) slot audit runs only at explicit
+    /// [`check_invariants`](Self::check_invariants) calls.
     fn debug_check(&self) {
         if cfg!(debug_assertions) {
-            self.check_invariants();
+            self.check_counts();
         }
     }
 }
@@ -1501,11 +1637,8 @@ impl Device for FlashCardStore {
     /// Marks the blocks dead; a drained erased pool starts a background
     /// cleaning job stamped `now`.
     fn trim<O: Observer>(&mut self, now: SimTime, lbn: u64, blocks: u32, obs: &mut O) {
-        for i in 0..u64::from(blocks) {
-            if let Some(loc) = self.map.remove(&(lbn + i)) {
-                self.segments[loc.seg as usize].live -= 1;
-                self.live_blocks -= 1;
-            }
+        for b in self.table_range(lbn, blocks) {
+            self.unmap(b);
         }
         self.maybe_start_job(now, obs);
         self.debug_check();
@@ -2408,5 +2541,60 @@ mod tests {
             faulty.backoff_recorder().histogram().percentile_nanos(0.5)
         )
         .is_zero());
+    }
+
+    #[test]
+    fn writes_reaching_the_lbn_limit_are_refused() {
+        let mut card = small_card(CleanerMode::Background);
+        for (lbn, blocks) in [(LBN_LIMIT - 1, 2), (LBN_LIMIT, 1), (u64::MAX, 1)] {
+            let err = card.try_write(SimTime::ZERO, lbn, blocks).unwrap_err();
+            assert_eq!(
+                err,
+                DeviceError::LbnLimit {
+                    lbn,
+                    blocks,
+                    limit: LBN_LIMIT
+                }
+            );
+            assert!(err.to_string().contains("lbn limit"), "{err}");
+        }
+        // Nothing was written, timed or mapped.
+        assert_eq!(card.counters(), FlashCardCounters::default());
+        assert_eq!(card.live_blocks(), 0);
+        assert!(card.table.is_empty());
+        card.check_invariants();
+    }
+
+    #[test]
+    fn reads_and_trims_beyond_the_table_never_grow_it() {
+        let mut card = small_card(CleanerMode::Background);
+        let t = card.try_write(SimTime::ZERO, 0, 8).unwrap().end;
+        assert_eq!(card.table.len(), 8);
+        for (lbn, blocks) in [(1 << 40, 16), (4, 1000), (u64::MAX - 1, 2)] {
+            let (_, res) = card.try_read(t, lbn, blocks);
+            assert!(res.is_ok());
+            assert_eq!(card.table.len(), 8, "a read at {lbn} grew the table");
+        }
+        trim(&mut card, 1 << 40, u32::MAX);
+        trim(&mut card, u64::MAX - 1, 2);
+        assert_eq!(card.table.len(), 8);
+        assert_eq!(card.live_blocks(), 8);
+        // A trim straddling the end drops only the mapped part.
+        trim(&mut card, 6, 100);
+        assert_eq!(card.table.len(), 8);
+        assert_eq!(card.live_blocks(), 6);
+        card.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not point back at lbn")]
+    fn check_invariants_catches_a_corrupt_slot_entry() {
+        let mut card = small_card(CleanerMode::Background);
+        card.try_write(SimTime::ZERO, 0, 8).unwrap();
+        card.check_invariants();
+        let loc = card.loc(3).unwrap();
+        let i = card.slot_index(loc.seg, loc.slot);
+        card.slots[i] = 5;
+        card.check_invariants();
     }
 }

@@ -7,13 +7,13 @@
 //! construction (re-run the same test, get the same cases). On failure the
 //! case index is included in the assertion message.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use mobistore::cache::lru::LruSet;
 use mobistore::device::params::intel_datasheet;
 use mobistore::device::{Device, DeviceError, Dir, QueueDiscipline, Request};
 use mobistore::flash::store::{CleanerMode, FlashCardConfig, FlashCardStore, VictimPolicy};
-use mobistore::sim::obs::NoopObserver;
+use mobistore::sim::obs::{Event, NoopObserver, Observer};
 use mobistore::sim::rng::SimRng;
 use mobistore::sim::stats::OnlineStats;
 use mobistore::sim::time::{SimDuration, SimTime};
@@ -283,6 +283,199 @@ fn flash_card_invariants_hold_under_faults() {
             assert_eq!(c.segments_retired, 0, "case {case}");
         }
         assert!(card.energy().get().is_finite(), "case {case}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Flash card block map, differentially: under faults, bit errors and
+// scrubbing, with every victim policy, the card's `(lbn, generation)`
+// mapping equals a naive ordered-map model after every op, and every
+// cleaning job copies exactly the victim's live blocks.
+// ---------------------------------------------------------------------
+
+/// Collects the events the block-map property needs, in order.
+#[derive(Default)]
+struct MapEvents(Vec<Event>);
+
+impl Observer for MapEvents {
+    fn record(&mut self, event: &Event) {
+        if matches!(
+            event,
+            Event::FlashCleanStart { .. }
+                | Event::UncorrectableRead { .. }
+                | Event::BlockRelocated { .. }
+        ) {
+            self.0.push(event.clone());
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MapOp {
+    Write,
+    Trim,
+    Read,
+    Idle,
+    PowerFail,
+}
+
+#[test]
+fn flash_card_map_matches_a_shadow_model() {
+    use mobistore::sim::fault::FaultConfig;
+    use mobistore::sim::integrity::IntegrityConfig;
+
+    let policies = [
+        VictimPolicy::GreedyMinLive,
+        VictimPolicy::Fifo,
+        VictimPolicy::CostBenefit,
+        VictimPolicy::WearAware,
+    ];
+    for case in 0..64u64 {
+        let mut rng = case_rng(31, case);
+        let rate = [0.0, 1e-3, 0.05][rng.below(3) as usize];
+        let fault = FaultConfig {
+            write_fail_rate: rate,
+            erase_fail_rate: rate,
+            permanent_rate: 0.2,
+            seed: case,
+            ..FaultConfig::none()
+        };
+        let integrity = IntegrityConfig {
+            base_errors: [0.0, 0.0, 1.0, 4.0, 9.0][rng.below(5) as usize],
+            seed: case,
+            ..IntegrityConfig::none()
+        }
+        .with_scrub(SimDuration::from_millis(rng.range_inclusive(200, 5_000)));
+        let mode = if case % 8 < 4 {
+            CleanerMode::Background
+        } else {
+            CleanerMode::OnDemand
+        };
+        let mut card = FlashCardStore::new(FlashCardConfig {
+            params: intel_datasheet(),
+            block_size: 1024,
+            capacity_bytes: 2 * 1024 * 1024,
+            mode,
+            victim_policy: policies[(case % 4) as usize],
+            queueing: QueueDiscipline::Fifo,
+        })
+        .with_faults(fault)
+        .with_integrity(integrity);
+        let preload = rng.below(400);
+        let mut shadow = BTreeMap::new();
+        let first = card.next_generation();
+        card.preload_aged(1000..1000 + preload);
+        shadow.extend((1000..1000 + preload).zip(first..));
+
+        let mut obs = MapEvents::default();
+        let mut now = SimTime::ZERO;
+        for step in 0..rng.range_inclusive(100, 400) {
+            let ctx = format!("case {case} step {step}");
+            let before = card.snapshot();
+            let gen = card.next_generation();
+            obs.0.clear();
+            // Mostly small lbns (overwrites, dead slots), sometimes far
+            // ones that grow the table or lie beyond it.
+            let lbn = if rng.chance(0.05) {
+                rng.below(1 << 14)
+            } else {
+                rng.below(1400)
+            };
+            let blocks = rng.range_inclusive(1, 7) as u32;
+            let op = match rng.below(12) {
+                0..=4 => MapOp::Write,
+                5 | 6 => MapOp::Trim,
+                7 | 8 => MapOp::Read,
+                9 | 10 => MapOp::Idle,
+                _ => MapOp::PowerFail,
+            };
+            match op {
+                MapOp::Write => {
+                    let req = Request::new(Dir::Write, lbn, blocks, 1024);
+                    let (svc, res) = card.submit(now, req, &mut obs);
+                    now = now.max(svc.end);
+                    if let Err(e) = res {
+                        assert!(matches!(e, DeviceError::ReadOnly { .. }), "{ctx}: {e}");
+                    }
+                }
+                MapOp::Trim => card.trim_obs(now, lbn, blocks, &mut obs),
+                MapOp::Read => {
+                    let req = Request::new(Dir::Read, lbn, blocks, 1024);
+                    now = now.max(card.submit(now, req, &mut obs).0.end);
+                }
+                MapOp::Idle => {
+                    now += SimDuration::from_millis(rng.range_inclusive(1, 8_000));
+                    card.settle_to(now, &mut obs);
+                }
+                MapOp::PowerFail => now = now.max(card.power_fail(now, &mut obs).end),
+            }
+            card.check_invariants();
+
+            // Reported losses happen while the op settles, before any of
+            // its own blocks land; then its write (of as many blocks as
+            // took generations: a write refused at end of life keeps the
+            // ones already placed) or trim applies.
+            for e in &obs.0 {
+                if let Event::UncorrectableRead { lbn, .. } = e {
+                    assert!(shadow.remove(lbn).is_some(), "{ctx}: lost unmapped {lbn}");
+                }
+            }
+            let range = lbn..lbn + u64::from(blocks);
+            match op {
+                MapOp::Write => {
+                    let placed = card.next_generation() - gen;
+                    assert!(placed <= u64::from(blocks), "{ctx}");
+                    shadow.extend(range.clone().zip(gen..gen + placed));
+                }
+                MapOp::Trim => range.clone().for_each(|b| {
+                    shadow.remove(&b);
+                }),
+                _ => assert_eq!(card.next_generation(), gen, "{ctx}"),
+            }
+            let mapped: Vec<(u64, u64)> = card
+                .snapshot()
+                .iter()
+                .map(|e| (e.lbn, e.generation))
+                .collect();
+            let expected: Vec<(u64, u64)> = shadow.iter().map(|(&l, &g)| (l, g)).collect();
+            assert_eq!(mapped, expected, "{ctx}: {op:?} {lbn}+{blocks}");
+
+            // The op's first cleaning job, unless a relocation or loss
+            // moved blocks before it, copies the victim's rows from before
+            // the op — less a trim's blocks, or a write's first `i` blocks
+            // (already placed elsewhere; or, when the victim is the
+            // segment those blocks just filled, plus them).
+            if let Some(&Event::FlashCleanStart {
+                victim,
+                live_copied,
+                ..
+            }) = obs.0.first()
+            {
+                let rows: BTreeSet<u64> = before
+                    .iter()
+                    .filter(|e| e.segment == victim)
+                    .map(|e| e.lbn)
+                    .collect();
+                let allowed: BTreeSet<usize> = match op {
+                    MapOp::Write => (0..=u64::from(blocks))
+                        .flat_map(|i| {
+                            let placed: BTreeSet<u64> = (lbn..lbn + i).collect();
+                            [
+                                rows.difference(&placed).count(),
+                                rows.union(&placed).count(),
+                            ]
+                        })
+                        .collect(),
+                    MapOp::Trim => [rows.iter().filter(|l| !range.contains(l)).count()].into(),
+                    _ => [rows.len()].into(),
+                };
+                assert!(
+                    allowed.contains(&(live_copied as usize)),
+                    "{ctx}: {op:?} cleaned segment {victim}: copied {live_copied}, \
+                     allowed {allowed:?}"
+                );
+            }
+        }
     }
 }
 
