@@ -186,7 +186,6 @@ enum ChildState {
 
 #[derive(Clone)]
 struct Child {
-    class: ChildClass,
     profile: ChildProfile,
     state: ChildState,
     /// When the child died; cleared when the open vulnerability window is
@@ -215,6 +214,12 @@ const PAYLOAD_BYTES: usize = 16;
 
 /// Stripes between rebuild checkpoints.
 const REBUILD_CHECKPOINT_STRIPES: u64 = 64;
+
+/// Degraded-read backoff: each missing shard of a block costs one.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(1);
+
+/// Degraded-read retries a block spends at most.
+const MAX_RETRIES: u32 = 3;
 
 /// Per-child metadata re-read after power loss (stripe map + rebuild
 /// watermark headers).
@@ -253,8 +258,6 @@ pub struct ArrayDevice {
     spares: u32,
     /// Stripes per second the background rebuild reconstructs.
     rebuild_rate: f64,
-    retry_backoff: SimDuration,
-    max_retries: u32,
     stripes: BTreeMap<u64, Stripe>,
     /// Acknowledged logical blocks (the shadow oracle's domain).
     mapped: BTreeSet<u64>,
@@ -293,7 +296,6 @@ impl ArrayDevice {
         let children = children
             .iter()
             .map(|&class| Child {
-                class,
                 profile: class.profile(),
                 state: ChildState::Alive,
                 died_at: None,
@@ -309,8 +311,6 @@ impl ArrayDevice {
             deaths: DeathSchedule::quiet(n),
             spares: 1,
             rebuild_rate: 128.0,
-            retry_backoff: SimDuration::from_millis_f64(1.0),
-            max_retries: 3,
             stripes: BTreeMap::new(),
             mapped: BTreeSet::new(),
             next_gen: 1,
@@ -369,14 +369,6 @@ impl ArrayDevice {
         self
     }
 
-    /// Sets the degraded-read retry budget: each missing shard costs one
-    /// backoff, bounded by `max_retries` per block.
-    pub fn with_retry(mut self, backoff: SimDuration, max_retries: u32) -> Self {
-        self.retry_backoff = backoff;
-        self.max_retries = max_retries;
-        self
-    }
-
     /// Data-shard count `k`.
     pub fn data_shards(&self) -> usize {
         self.rs.data_shards()
@@ -385,11 +377,6 @@ impl ArrayDevice {
     /// Parity-shard count `m` (the losses the array tolerates).
     pub fn parity_shards(&self) -> usize {
         self.rs.parity_shards()
-    }
-
-    /// The classes of the children, in child order.
-    pub fn child_classes(&self) -> Vec<ChildClass> {
-        self.children.iter().map(|c| c.class).collect()
     }
 
     /// True once concurrent losses exceeded `m`: the array is read-only.
@@ -793,8 +780,7 @@ impl ArrayDevice {
                 for &i in available.iter().take(k) {
                     degraded_bytes[self.child_of(i, s)] += self.block_bytes;
                 }
-                let attempts = lost.min(self.max_retries);
-                extra += self.retry_backoff * u64::from(attempts);
+                extra += RETRY_BACKOFF * u64::from(lost.min(MAX_RETRIES));
                 self.counters.degraded_reads += 1;
                 degraded_blocks.push((b, lost));
             } else {
@@ -803,7 +789,7 @@ impl ArrayDevice {
                 for &i in &available {
                     degraded_bytes[self.child_of(i, s)] += self.block_bytes;
                 }
-                extra += self.retry_backoff * u64::from(self.max_retries);
+                extra += RETRY_BACKOFF * u64::from(MAX_RETRIES);
                 self.counters.data_loss_events += 1;
                 obs.record(&Event::UncorrectableRead {
                     t: start,

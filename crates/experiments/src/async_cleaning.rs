@@ -15,7 +15,7 @@ use mobistore_device::params::{sdp5_datasheet, sdp5a_datasheet};
 use mobistore_sim::exec::parallel_map;
 use mobistore_workload::Workload;
 
-use crate::{shared_trace, Scale};
+use crate::{paper_dram_bytes, shared_trace, Scale};
 
 /// One trace's synchronous-vs-asynchronous comparison.
 #[derive(Debug, Clone)]
@@ -56,11 +56,7 @@ pub fn run(scale: Scale) -> AsyncCleaning {
 /// Runs the comparison for one trace (the sync/async pair in parallel).
 pub fn run_row(workload: Workload, scale: Scale) -> AsyncRow {
     let trace = shared_trace(workload, scale);
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
+    let dram = paper_dram_bytes(workload);
     let configs = [
         (
             SystemConfig::flash_disk(sdp5_datasheet()).with_dram(dram),

@@ -29,7 +29,7 @@ use mobistore_sim::fleet::splitmix64;
 use mobistore_workload::Workload;
 
 use crate::fleet::device_mix;
-use crate::{shared_trace, Scale};
+use crate::{paper_dram_bytes, shared_trace, Scale};
 
 /// The GF(2^8) codec's hard shard ceiling: a stripe can spread over at
 /// most 255 devices.
@@ -149,14 +149,9 @@ fn cell_config(
     fault_seed: u64,
     workload: Workload,
 ) -> SystemConfig {
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
     SystemConfig::array(k, m, children)
         .with_rebuild_rate(options.rebuild_rate)
-        .with_dram(dram)
+        .with_dram(paper_dram_bytes(workload))
         .with_faults(FaultConfig::with_rate(0.0, fault_seed).with_death_rate(rate))
 }
 

@@ -14,7 +14,7 @@ use mobistore_flash::store::WearStats;
 use mobistore_sim::exec::parallel_map;
 use mobistore_workload::Workload;
 
-use crate::{flash_card_config, shared_trace, Scale};
+use crate::{flash_card_config, paper_dram_bytes, shared_trace, Scale};
 
 /// The endpoints the paper quotes.
 pub const UTIL_LOW: f64 = 0.40;
@@ -60,11 +60,7 @@ pub fn run(scale: Scale) -> Endurance {
 /// Runs one trace at both utilizations (in parallel).
 pub fn run_row(workload: Workload, scale: Scale) -> EnduranceRow {
     let trace = shared_trace(workload, scale);
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
+    let dram = paper_dram_bytes(workload);
     let mut wear = parallel_map(&[UTIL_LOW, UTIL_HIGH], |&util| {
         let cfg = flash_card_config(intel_datasheet(), &trace, util).with_dram(dram);
         simulate(&cfg, &trace).wear.expect("flash card wear")

@@ -15,7 +15,7 @@ use mobistore_device::params::intel_datasheet;
 use mobistore_sim::exec::parallel_map;
 use mobistore_workload::Workload;
 
-use crate::{flash_card_config, shared_trace, Scale};
+use crate::{flash_card_config, paper_dram_bytes, shared_trace, Scale};
 
 /// The utilization sweep points (fractions).
 pub const UTILIZATIONS: [f64; 7] = [0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 0.95];
@@ -48,11 +48,7 @@ pub fn run(scale: Scale) -> Figure2 {
 /// Runs the sweep for one trace, all utilization points in parallel.
 pub fn run_curve(workload: Workload, scale: Scale) -> Figure2Curve {
     let trace = shared_trace(workload, scale);
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
+    let dram = paper_dram_bytes(workload);
     let points = parallel_map(&UTILIZATIONS, |&util| {
         let cfg = flash_card_config(intel_datasheet(), &trace, util).with_dram(dram);
         let mut m = simulate(&cfg, &trace);

@@ -16,7 +16,7 @@ use mobistore_device::params::cu140_datasheet;
 use mobistore_sim::exec::parallel_map;
 use mobistore_workload::Workload;
 
-use crate::{shared_trace, Scale};
+use crate::{paper_dram_bytes, shared_trace, Scale};
 
 /// The SRAM sweep points, in bytes.
 pub const SRAM_BYTES: [u64; 4] = [0, 32 * 1024, 512 * 1024, 1024 * 1024];
@@ -50,11 +50,7 @@ pub fn run(scale: Scale) -> Figure5 {
 /// Runs the sweep for one trace, all SRAM points in parallel.
 pub fn run_curve(workload: Workload, scale: Scale) -> Figure5Curve {
     let trace = shared_trace(workload, scale);
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
+    let dram = paper_dram_bytes(workload);
     let points = parallel_map(&SRAM_BYTES, |&sram| {
         let cfg = SystemConfig::disk(cu140_datasheet())
             .with_dram(dram)

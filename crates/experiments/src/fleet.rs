@@ -55,7 +55,7 @@ use mobistore_sim::time::SimDuration;
 use mobistore_sim::units::MIB;
 use mobistore_workload::Workload;
 
-use crate::{ckpt, working_set_blocks, Scale};
+use crate::{ckpt, paper_dram_bytes, working_set_blocks, Scale};
 
 /// Salt for the per-shard demand-sampling RNG stream.
 const DEMAND_SALT: u64 = 0x7fee_7000_dead_beef;
@@ -191,18 +191,13 @@ fn shard_config(
     let fault_seed = splitmix64(shard.seed ^ FAULT_SALT ^ u64::from(shard.index));
     let fault = FaultConfig::with_rate(FLEET_FAULT_RATE, fault_seed)
         .with_power_failures(POWER_FAIL_INTERVAL);
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
     let cfg = match shard.device {
         "cu140-disk" => SystemConfig::disk(cu140_datasheet()),
         "sdp5-flashdisk" => SystemConfig::flash_disk(sdp5_datasheet()),
         "intel-card" => fleet_card_config(trace, 0.80),
         other => panic!("unknown device class {other}"),
     };
-    cfg.with_dram(dram).with_faults(fault)
+    cfg.with_dram(paper_dram_bytes(workload)).with_faults(fault)
 }
 
 /// The shard's total trace demand: the sum of its users' lognormal

@@ -27,7 +27,7 @@ use mobistore_sim::integrity::IntegrityConfig;
 use mobistore_sim::time::SimDuration;
 use mobistore_workload::Workload;
 
-use crate::{flash_card_config, shared_trace, Scale};
+use crate::{flash_card_config, paper_dram_bytes, shared_trace, Scale};
 
 /// Parameters of the integrity sweep (the `--ber-*` flags).
 #[derive(Debug, Clone)]
@@ -114,13 +114,8 @@ pub fn run(scale: Scale, options: &IntegrityOptions) -> Integrity {
     }
     let card = parallel_map(&cells, |&(workload, rate, scrubbed)| {
         let trace = shared_trace(workload, scale);
-        let dram = if workload.below_buffer_cache() {
-            0
-        } else {
-            2 * 1024 * 1024
-        };
         let cfg = flash_card_config(intel_datasheet(), &trace, 0.80)
-            .with_dram(dram)
+            .with_dram(paper_dram_bytes(workload))
             .with_integrity(options.integrity_config(rate, scrubbed));
         let mut m = simulate(&cfg, &trace);
         m.name = format!(
@@ -144,13 +139,8 @@ pub fn run(scale: Scale, options: &IntegrityOptions) -> Integrity {
     }
     let flash_disk = parallel_map(&disk_cells, |&(workload, rate)| {
         let trace = shared_trace(workload, scale);
-        let dram = if workload.below_buffer_cache() {
-            0
-        } else {
-            2 * 1024 * 1024
-        };
         let cfg = SystemConfig::flash_disk(sdp5_datasheet())
-            .with_dram(dram)
+            .with_dram(paper_dram_bytes(workload))
             .with_integrity(options.integrity_config(rate, false));
         let mut m = simulate(&cfg, &trace);
         m.name = format!("{}/flashdisk ber={}", workload.name(), fmt_rate(rate));

@@ -122,6 +122,17 @@ pub fn shared_trace(workload: Workload, scale: Scale) -> Arc<Trace> {
     mobistore_workload::cache::trace(workload, scale.fraction, scale.seed)
 }
 
+/// The DRAM buffer cache the paper simulates `workload` with (§4.1/§4.2):
+/// 2 Mbytes for mac and dos, none for hp, whose trace was taken below
+/// the buffer cache.
+pub fn paper_dram_bytes(workload: Workload) -> u64 {
+    if workload.below_buffer_cache() {
+        0
+    } else {
+        2 * MIB
+    }
+}
+
 /// Counts the distinct blocks a trace touches (its flash working set).
 ///
 /// Works on merged `(start, end)` block ranges rather than materializing

@@ -24,7 +24,7 @@ use mobistore_flash::store::VictimPolicy;
 use mobistore_sim::exec::parallel_map;
 use mobistore_workload::Workload;
 
-use crate::{flash_card_config, shared_trace, Scale};
+use crate::{flash_card_config, paper_dram_bytes, shared_trace, Scale};
 
 /// One generation × utilization point.
 #[derive(Debug, Clone)]
@@ -53,11 +53,7 @@ pub const SWEEP: [f64; 3] = [0.80, 0.90, 0.95];
 /// generation × utilization grid as one parallel batch.
 pub fn series2plus(workload: Workload, scale: Scale) -> Series2Plus {
     let trace = shared_trace(workload, scale);
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
+    let dram = paper_dram_bytes(workload);
     let grid: Vec<(&'static str, FlashCardParams, f64)> = [
         ("Series 2 (1.6s erase)", intel_datasheet()),
         ("Series 2+ (300ms erase)", intel_series2plus_datasheet()),
@@ -193,12 +189,8 @@ pub fn lifetime(scale: Scale) -> Vec<LifetimeRow> {
         .collect();
     parallel_map(&grid, |(workload, generation, params, budget)| {
         let trace = shared_trace(*workload, scale);
-        let dram = if workload.below_buffer_cache() {
-            0
-        } else {
-            2 * 1024 * 1024
-        };
-        let cfg = flash_card_config(params.clone(), &trace, 0.80).with_dram(dram);
+        let cfg =
+            flash_card_config(params.clone(), &trace, 0.80).with_dram(paper_dram_bytes(*workload));
         let m = simulate(&cfg, &trace);
         let hours = m.duration.as_secs_f64() / 3600.0;
         let worst_per_hour = if hours > 0.0 {

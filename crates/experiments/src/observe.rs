@@ -29,7 +29,7 @@ use mobistore_sim::stats::Summary;
 use mobistore_sim::time::SimDuration;
 use mobistore_workload::Workload;
 
-use crate::{flash_card_config, shared_trace, Scale};
+use crate::{flash_card_config, paper_dram_bytes, shared_trace, Scale};
 
 /// Transient write/erase fault rate injected into the flash-card cells.
 const FAULT_RATE: f64 = 0.02;
@@ -166,17 +166,12 @@ pub(crate) fn cell_config(
 ) -> SystemConfig {
     let fault =
         FaultConfig::with_rate(FAULT_RATE, FAULT_SEED).with_power_failures(POWER_FAIL_INTERVAL);
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
     let cfg = match device {
         ObserveDevice::Cu140Disk => SystemConfig::disk(cu140_datasheet()),
         ObserveDevice::Sdp5FlashDisk => SystemConfig::flash_disk(sdp5_datasheet()),
         ObserveDevice::IntelCard => flash_card_config(intel_datasheet(), trace, 0.80),
     };
-    cfg.with_dram(dram).with_faults(fault)
+    cfg.with_dram(paper_dram_bytes(workload)).with_faults(fault)
 }
 
 /// Runs the grid; `collect_events` additionally captures every cell's

@@ -20,31 +20,12 @@ use std::fmt;
 
 use mobistore_core::metrics::Metrics;
 use mobistore_core::simulator::{simulate, simulate_observed, RunOptions};
-use mobistore_sim::obs::{CounterRegistry, Event, Observer};
+use mobistore_sim::obs::CountingObserver;
 use mobistore_sim::prof::Profiler;
-use mobistore_sim::span::Span;
 use mobistore_workload::Workload;
 
 use crate::observe::{cell_config, ObserveDevice, DEVICES, WORKLOADS};
 use crate::{shared_trace, Scale};
-
-/// Counts events and spans without retaining them: the cheapest real
-/// observer, so `observed_dispatch` measures dispatch overhead rather
-/// than allocation.
-struct CountingCollector {
-    counts: CounterRegistry,
-    spans: u64,
-}
-
-impl Observer for CountingCollector {
-    fn record(&mut self, event: &Event) {
-        self.counts.add(event.name(), 1);
-    }
-
-    fn span(&mut self, _span: &Span) {
-        self.spans += 1;
-    }
-}
 
 /// One profiled cell: deterministic simulation counts only.
 #[derive(Debug, Clone)]
@@ -101,10 +82,9 @@ pub fn run(scale: Scale) -> Profile {
             let trace = prof.time("trace_decode", || shared_trace(workload, scale));
             let cfg = cell_config(workload, device, &trace);
             let noop = prof.time("device_dispatch", || simulate(&cfg, &trace));
-            let mut obs = CountingCollector {
-                counts: CounterRegistry::new(),
-                spans: 0,
-            };
+            // Counts without retaining: the cheapest real observer, so
+            // `observed_dispatch` measures dispatch overhead, not allocation.
+            let mut obs = CountingObserver::default();
             let observed = prof.time("observed_dispatch", || {
                 simulate_observed(&cfg, &trace, RunOptions::default(), &mut obs)
             });

@@ -28,7 +28,7 @@ use mobistore_sim::fault::FaultConfig;
 use mobistore_sim::time::SimDuration;
 use mobistore_workload::Workload;
 
-use crate::{flash_card_config, shared_trace, Scale};
+use crate::{flash_card_config, paper_dram_bytes, shared_trace, Scale};
 
 /// Parameters of the reliability sweep (the `--fault-*` flags).
 #[derive(Debug, Clone)]
@@ -113,13 +113,8 @@ pub fn run(scale: Scale, options: &ReliabilityOptions) -> Reliability {
     }
     let card = parallel_map(&points, |&(workload, rate)| {
         let trace = shared_trace(workload, scale);
-        let dram = if workload.below_buffer_cache() {
-            0
-        } else {
-            2 * 1024 * 1024
-        };
         let cfg = flash_card_config(intel_datasheet(), &trace, 0.80)
-            .with_dram(dram)
+            .with_dram(paper_dram_bytes(workload))
             .with_faults(options.fault_config(rate));
         let m = simulate(&cfg, &trace);
         CardPoint {
@@ -134,13 +129,8 @@ pub fn run(scale: Scale, options: &ReliabilityOptions) -> Reliability {
     let disk = if options.power_interval.is_some() {
         parallel_map(&Workload::ALL, |&workload| {
             let trace = shared_trace(workload, scale);
-            let dram = if workload.below_buffer_cache() {
-                0
-            } else {
-                2 * 1024 * 1024
-            };
             let cfg = SystemConfig::disk(cu140_datasheet())
-                .with_dram(dram)
+                .with_dram(paper_dram_bytes(workload))
                 .with_faults(options.fault_config(0.0));
             let m = simulate(&cfg, &trace);
             DiskPoint {

@@ -31,7 +31,7 @@ use mobistore_sim::exec::parallel_map;
 use mobistore_trace::record::Trace;
 use mobistore_workload::Workload;
 
-use crate::{flash_card_config, shared_trace, Scale};
+use crate::{flash_card_config, paper_dram_bytes, shared_trace, Scale};
 
 /// Which of the seven Table 4 configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,14 +77,6 @@ impl DeviceConfig {
         };
         cfg.with_dram(dram_bytes)
     }
-
-    /// True for the magnetic-disk rows.
-    pub fn is_disk(self) -> bool {
-        matches!(
-            self,
-            DeviceConfig::Cu140Measured | DeviceConfig::Cu140Datasheet | DeviceConfig::KhDatasheet
-        )
-    }
 }
 
 /// Results for one trace (one sub-table of Table 4).
@@ -107,12 +99,7 @@ pub struct Table4 {
 /// Runs one sub-table, the seven device rows in parallel.
 pub fn run_part(workload: Workload, scale: Scale) -> Table4Part {
     let trace = shared_trace(workload, scale);
-    // §4.1/§4.2: 2-Mbyte DRAM for mac and dos, none for hp.
-    let dram = if workload.below_buffer_cache() {
-        0
-    } else {
-        2 * 1024 * 1024
-    };
+    let dram = paper_dram_bytes(workload);
     let rows = parallel_map(&DeviceConfig::ALL, |&dev| {
         let cfg = dev.system(&trace, dram);
         let mut m = simulate(&cfg, &trace);

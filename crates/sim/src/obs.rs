@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// The class of a trace operation, as seen by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,400 +60,250 @@ pub enum FaultKind {
     },
 }
 
-/// One structured, sim-time-stamped event.
-///
-/// All payload fields are integers (times in nanoseconds via
-/// [`SimTime`]/[`SimDuration`]), so serialization is trivially
-/// deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A trace operation entered the simulator.
-    OpIssued {
-        /// Issue time.
-        t: SimTime,
-        /// Operation class.
-        kind: OpKind,
-        /// First logical block touched.
-        lbn: u64,
-        /// Number of blocks touched.
-        blocks: u32,
-    },
-    /// A trace operation finished, with its latency breakdown.
-    OpCompleted {
-        /// Completion time (issue time + response).
-        t: SimTime,
-        /// Operation class.
-        kind: OpKind,
-        /// First logical block touched.
-        lbn: u64,
-        /// Number of blocks touched.
-        blocks: u32,
-        /// Time spent waiting before the device started serving
-        /// (queueing, spin-up, cleaning stalls).
-        queue: SimDuration,
-        /// Time the device spent actively serving.
-        service: SimDuration,
-        /// End-to-end response time as recorded in Table 4.
-        response: SimDuration,
-    },
-    /// The DRAM buffer cache served a read probe.
-    CacheRead {
-        /// Probe time.
-        t: SimTime,
-        /// Blocks found in the cache.
-        hits: u32,
-        /// Blocks that must go to the backend.
-        misses: u32,
-    },
-    /// The DRAM buffer cache absorbed a write.
-    CacheWrite {
-        /// Write time.
-        t: SimTime,
-        /// Blocks written into the cache.
-        blocks: u32,
-        /// Dirty blocks evicted to make room.
-        dirty_evictions: u32,
-    },
-    /// A read hit the SRAM write buffer before reaching the device.
-    SramReadHit {
-        /// Hit time.
-        t: SimTime,
-        /// Blocks served.
-        blocks: u32,
-    },
-    /// The SRAM write buffer absorbed dirty blocks.
-    SramAbsorb {
-        /// Absorb time.
-        t: SimTime,
-        /// Blocks absorbed.
-        blocks: u32,
-    },
-    /// The SRAM write buffer drained to the backend.
-    SramFlush {
-        /// Flush time.
-        t: SimTime,
-        /// Blocks flushed.
-        blocks: u32,
-    },
-    /// The magnetic disk began spinning up.
-    DiskSpinUp {
-        /// Spin-up start time.
-        t: SimTime,
-    },
-    /// The magnetic disk began spinning down after its idle timeout.
-    DiskSpinDown {
-        /// Spin-down start time.
-        t: SimTime,
-    },
-    /// The flash card started cleaning a victim segment.
-    FlashCleanStart {
-        /// Cleaning start time.
-        t: SimTime,
-        /// Victim segment index.
-        victim: u32,
-        /// Live blocks copied out of the victim.
-        live_copied: u32,
-    },
-    /// The flash card finished (or abandoned) a cleaning pass.
-    FlashCleanEnd {
-        /// Completion time.
-        t: SimTime,
-        /// Victim segment index.
-        victim: u32,
-        /// Whether the segment was retired instead of erased.
-        retired: bool,
-    },
-    /// The flash disk pre-erased garbage in the background.
-    FlashPreErase {
-        /// Erase start time.
-        t: SimTime,
-        /// Bytes erased.
-        bytes: u64,
-    },
-    /// The fault plan injected a fault.
-    FaultInjected {
-        /// Injection time.
-        t: SimTime,
-        /// What kind of fault.
-        kind: FaultKind,
-    },
-    /// Power was lost; volatile state is gone.
-    PowerFail {
-        /// Failure time.
-        t: SimTime,
-        /// Dirty blocks lost from volatile caches.
-        lost_dirty_blocks: u64,
-    },
-    /// Post-power-failure recovery completed.
-    RecoveryEnd {
-        /// Time recovery finished.
-        t: SimTime,
-        /// How long recovery took.
-        duration: SimDuration,
-    },
-    /// The flash card exhausted its cleanable capacity and entered
-    /// read-only end-of-life mode; further writes fail with a typed error.
-    FlashEndOfLife {
-        /// Transition time.
-        t: SimTime,
-        /// Live blocks at the transition.
-        live: u64,
-        /// Usable (non-retired) block capacity at the transition.
-        usable: u64,
-        /// Retired (bad-segment) blocks at the transition.
-        retired: u64,
-    },
-    /// The ECC transparently corrected raw bit errors on a block read.
-    EccCorrected {
-        /// Read time.
-        t: SimTime,
-        /// The block whose data was corrected.
-        lbn: u64,
-        /// Raw bit errors corrected.
-        errors: u32,
-    },
-    /// A marginal block read was recovered by bounded read-retry.
-    ReadRetry {
-        /// Read time.
-        t: SimTime,
-        /// The block that needed retries.
-        lbn: u64,
-        /// Retry attempts the recovery cost.
-        attempts: u32,
-    },
-    /// A block read exceeded what ECC and read-retry can recover; its
-    /// data is lost and the failure surfaces as a typed device error.
-    UncorrectableRead {
-        /// Read time.
-        t: SimTime,
-        /// The block whose data was lost.
-        lbn: u64,
-        /// Raw bit errors seen.
-        errors: u32,
-    },
-    /// A degraded-but-correctable block was rewritten to fresh cells at
-    /// the write frontier (relocate-and-remap).
-    BlockRelocated {
-        /// Relocation time.
-        t: SimTime,
-        /// The relocated block.
-        lbn: u64,
-        /// Segment the block was relocated out of.
-        from_segment: u32,
-        /// Raw bit errors that triggered the relocation.
-        errors: u32,
-    },
-    /// The background scrubber finished a pass over one segment.
-    ScrubPass {
-        /// Pass completion time.
-        t: SimTime,
-        /// The segment scrubbed.
-        segment: u32,
-        /// Live blocks read by the pass.
-        blocks: u32,
-        /// Blocks whose errors the ECC corrected during the pass.
-        corrected: u32,
-        /// Blocks the pass relocated to fresh cells.
-        relocated: u32,
-    },
+crate::events! {
+    /// One structured, sim-time-stamped event.
+    ///
+    /// All payload fields are integers (times in nanoseconds via
+    /// [`SimTime`](crate::time::SimTime)/[`SimDuration`]), so serialization is trivially
+    /// deterministic.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Event {
+        /// A trace operation entered the simulator.
+        OpIssued "op_issued" {
+            /// Issue time.
+            t: SimTime,
+            /// Operation class.
+            kind: OpKind => "op",
+            /// First logical block touched.
+            lbn: u64,
+            /// Number of blocks touched.
+            blocks: u32,
+        },
+        /// A trace operation finished, with its latency breakdown.
+        OpCompleted "op_completed" {
+            /// Completion time (issue time + response).
+            t: SimTime,
+            /// Operation class.
+            kind: OpKind => "op",
+            /// First logical block touched.
+            lbn: u64,
+            /// Number of blocks touched.
+            blocks: u32,
+            /// Time spent waiting before the device started serving
+            /// (queueing, spin-up, cleaning stalls).
+            queue: SimDuration => "queue_ns",
+            /// Time the device spent actively serving.
+            service: SimDuration => "service_ns",
+            /// End-to-end response time as recorded in Table 4.
+            response: SimDuration => "response_ns",
+        },
+        /// The DRAM buffer cache served a read probe.
+        CacheRead "cache_read" {
+            /// Probe time.
+            t: SimTime,
+            /// Blocks found in the cache.
+            hits: u32,
+            /// Blocks that must go to the backend.
+            misses: u32,
+        },
+        /// The DRAM buffer cache absorbed a write.
+        CacheWrite "cache_write" {
+            /// Write time.
+            t: SimTime,
+            /// Blocks written into the cache.
+            blocks: u32,
+            /// Dirty blocks evicted to make room.
+            dirty_evictions: u32,
+        },
+        /// A read hit the SRAM write buffer before reaching the device.
+        SramReadHit "sram_read_hit" {
+            /// Hit time.
+            t: SimTime,
+            /// Blocks served.
+            blocks: u32,
+        },
+        /// The SRAM write buffer absorbed dirty blocks.
+        SramAbsorb "sram_absorb" {
+            /// Absorb time.
+            t: SimTime,
+            /// Blocks absorbed.
+            blocks: u32,
+        },
+        /// The SRAM write buffer drained to the backend.
+        SramFlush "sram_flush" {
+            /// Flush time.
+            t: SimTime,
+            /// Blocks flushed.
+            blocks: u32,
+        },
+        /// The magnetic disk began spinning up.
+        DiskSpinUp "disk_spin_up" {
+            /// Spin-up start time.
+            t: SimTime,
+        },
+        /// The magnetic disk began spinning down after its idle timeout.
+        DiskSpinDown "disk_spin_down" {
+            /// Spin-down start time.
+            t: SimTime,
+        },
+        /// The flash card started cleaning a victim segment.
+        FlashCleanStart "flash_clean_start" {
+            /// Cleaning start time.
+            t: SimTime,
+            /// Victim segment index.
+            victim: u32,
+            /// Live blocks copied out of the victim.
+            live_copied: u32,
+        },
+        /// The flash card finished (or abandoned) a cleaning pass.
+        FlashCleanEnd "flash_clean_end" {
+            /// Completion time.
+            t: SimTime,
+            /// Victim segment index.
+            victim: u32,
+            /// Whether the segment was retired instead of erased.
+            retired: bool,
+        },
+        /// The flash disk pre-erased garbage in the background.
+        FlashPreErase "flash_pre_erase" {
+            /// Erase start time.
+            t: SimTime,
+            /// Bytes erased.
+            bytes: u64,
+        },
+        /// The fault plan injected a fault.
+        FaultInjected "fault_injected" {
+            /// Injection time.
+            t: SimTime,
+            /// What kind of fault.
+            kind: FaultKind => "fault",
+        },
+        /// Power was lost; volatile state is gone.
+        PowerFail "power_fail" {
+            /// Failure time.
+            t: SimTime,
+            /// Dirty blocks lost from volatile caches.
+            lost_dirty_blocks: u64,
+        },
+        /// Post-power-failure recovery completed.
+        RecoveryEnd "recovery_end" {
+            /// Time recovery finished.
+            t: SimTime,
+            /// How long recovery took.
+            duration: SimDuration => "duration_ns",
+        },
+        /// The flash card exhausted its cleanable capacity and entered
+        /// read-only end-of-life mode; further writes fail with a typed error.
+        FlashEndOfLife "flash_end_of_life" {
+            /// Transition time.
+            t: SimTime,
+            /// Live blocks at the transition.
+            live: u64,
+            /// Usable (non-retired) block capacity at the transition.
+            usable: u64,
+            /// Retired (bad-segment) blocks at the transition.
+            retired: u64,
+        },
+        /// The ECC transparently corrected raw bit errors on a block read.
+        EccCorrected "ecc_corrected" {
+            /// Read time.
+            t: SimTime,
+            /// The block whose data was corrected.
+            lbn: u64,
+            /// Raw bit errors corrected.
+            errors: u32,
+        },
+        /// A marginal block read was recovered by bounded read-retry.
+        ReadRetry "read_retry" {
+            /// Read time.
+            t: SimTime,
+            /// The block that needed retries.
+            lbn: u64,
+            /// Retry attempts the recovery cost.
+            attempts: u32,
+        },
+        /// A block read exceeded what ECC and read-retry can recover; its
+        /// data is lost and the failure surfaces as a typed device error.
+        UncorrectableRead "uncorrectable_read" {
+            /// Read time.
+            t: SimTime,
+            /// The block whose data was lost.
+            lbn: u64,
+            /// Raw bit errors seen.
+            errors: u32,
+        },
+        /// A degraded-but-correctable block was rewritten to fresh cells at
+        /// the write frontier (relocate-and-remap).
+        BlockRelocated "block_relocated" {
+            /// Relocation time.
+            t: SimTime,
+            /// The relocated block.
+            lbn: u64,
+            /// Segment the block was relocated out of.
+            from_segment: u32,
+            /// Raw bit errors that triggered the relocation.
+            errors: u32,
+        },
+        /// The background scrubber finished a pass over one segment.
+        ScrubPass "scrub_pass" {
+            /// Pass completion time.
+            t: SimTime,
+            /// The segment scrubbed.
+            segment: u32,
+            /// Live blocks read by the pass.
+            blocks: u32,
+            /// Blocks whose errors the ECC corrected during the pass.
+            corrected: u32,
+            /// Blocks the pass relocated to fresh cells.
+            relocated: u32,
+        },
+    }
 }
 
-impl Event {
-    /// Stable snake_case event name (used as the JSONL `event` field and
-    /// as the counter key in a [`CounterRegistry`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::OpIssued { .. } => "op_issued",
-            Event::OpCompleted { .. } => "op_completed",
-            Event::CacheRead { .. } => "cache_read",
-            Event::CacheWrite { .. } => "cache_write",
-            Event::SramReadHit { .. } => "sram_read_hit",
-            Event::SramAbsorb { .. } => "sram_absorb",
-            Event::SramFlush { .. } => "sram_flush",
-            Event::DiskSpinUp { .. } => "disk_spin_up",
-            Event::DiskSpinDown { .. } => "disk_spin_down",
-            Event::FlashCleanStart { .. } => "flash_clean_start",
-            Event::FlashCleanEnd { .. } => "flash_clean_end",
-            Event::FlashPreErase { .. } => "flash_pre_erase",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::PowerFail { .. } => "power_fail",
-            Event::RecoveryEnd { .. } => "recovery_end",
-            Event::FlashEndOfLife { .. } => "flash_end_of_life",
-            Event::EccCorrected { .. } => "ecc_corrected",
-            Event::ReadRetry { .. } => "read_retry",
-            Event::UncorrectableRead { .. } => "uncorrectable_read",
-            Event::BlockRelocated { .. } => "block_relocated",
-            Event::ScrubPass { .. } => "scrub_pass",
-        }
-    }
+/// How one payload field of an [`events!`](crate::events) or
+/// [`spans!`](crate::spans) row is written to JSON.
+///
+/// Integers and `bool` are written as they are, a [`SimDuration`] as
+/// integer nanoseconds (its row gives the `_ns` key), an [`OpKind`] as its
+/// quoted name, and a [`FaultKind`] flattened into its quoted name and
+/// its own payload.
+pub trait JsonField {
+    /// Appends `"key":value` to `out`.
+    fn write_json(&self, key: &str, out: &mut String);
+}
 
-    /// The event's sim-time stamp.
-    pub fn time(&self) -> SimTime {
-        match *self {
-            Event::OpIssued { t, .. }
-            | Event::OpCompleted { t, .. }
-            | Event::CacheRead { t, .. }
-            | Event::CacheWrite { t, .. }
-            | Event::SramReadHit { t, .. }
-            | Event::SramAbsorb { t, .. }
-            | Event::SramFlush { t, .. }
-            | Event::DiskSpinUp { t }
-            | Event::DiskSpinDown { t }
-            | Event::FlashCleanStart { t, .. }
-            | Event::FlashCleanEnd { t, .. }
-            | Event::FlashPreErase { t, .. }
-            | Event::FaultInjected { t, .. }
-            | Event::PowerFail { t, .. }
-            | Event::RecoveryEnd { t, .. }
-            | Event::FlashEndOfLife { t, .. }
-            | Event::EccCorrected { t, .. }
-            | Event::ReadRetry { t, .. }
-            | Event::UncorrectableRead { t, .. }
-            | Event::BlockRelocated { t, .. }
-            | Event::ScrubPass { t, .. } => t,
-        }
-    }
-
-    /// The event's JSON fields — `"t_ns":…,"event":"…"` plus the payload —
-    /// without the enclosing braces, so callers can prepend context
-    /// (workload, device) before wrapping. Integer and string values only.
-    pub fn json_fields(&self) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "\"t_ns\":{},\"event\":\"{}\"",
-            self.time().as_nanos(),
-            self.name()
-        );
-        match *self {
-            Event::OpIssued {
-                kind, lbn, blocks, ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"op\":\"{}\",\"lbn\":{lbn},\"blocks\":{blocks}",
-                    kind.name()
-                );
-            }
-            Event::OpCompleted {
-                kind,
-                lbn,
-                blocks,
-                queue,
-                service,
-                response,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"op\":\"{}\",\"lbn\":{lbn},\"blocks\":{blocks},\"queue_ns\":{},\"service_ns\":{},\"response_ns\":{}",
-                    kind.name(),
-                    queue.as_nanos(),
-                    service.as_nanos(),
-                    response.as_nanos()
-                );
-            }
-            Event::CacheRead { hits, misses, .. } => {
-                let _ = write!(s, ",\"hits\":{hits},\"misses\":{misses}");
-            }
-            Event::CacheWrite {
-                blocks,
-                dirty_evictions,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"blocks\":{blocks},\"dirty_evictions\":{dirty_evictions}"
-                );
-            }
-            Event::SramReadHit { blocks, .. }
-            | Event::SramAbsorb { blocks, .. }
-            | Event::SramFlush { blocks, .. } => {
-                let _ = write!(s, ",\"blocks\":{blocks}");
-            }
-            Event::DiskSpinUp { .. } | Event::DiskSpinDown { .. } => {}
-            Event::FlashCleanStart {
-                victim,
-                live_copied,
-                ..
-            } => {
-                let _ = write!(s, ",\"victim\":{victim},\"live_copied\":{live_copied}");
-            }
-            Event::FlashCleanEnd {
-                victim, retired, ..
-            } => {
-                let _ = write!(s, ",\"victim\":{victim},\"retired\":{retired}");
-            }
-            Event::FlashPreErase { bytes, .. } => {
-                let _ = write!(s, ",\"bytes\":{bytes}");
-            }
-            Event::FaultInjected { kind, .. } => match kind {
-                FaultKind::WriteRetry { retries } => {
-                    let _ = write!(s, ",\"fault\":\"write_retry\",\"retries\":{retries}");
-                }
-                FaultKind::EraseRetry { retries } => {
-                    let _ = write!(s, ",\"fault\":\"erase_retry\",\"retries\":{retries}");
-                }
-                FaultKind::SegmentRetired { segment } => {
-                    let _ = write!(s, ",\"fault\":\"segment_retired\",\"segment\":{segment}");
-                }
-            },
-            Event::PowerFail {
-                lost_dirty_blocks, ..
-            } => {
-                let _ = write!(s, ",\"lost_dirty_blocks\":{lost_dirty_blocks}");
-            }
-            Event::RecoveryEnd { duration, .. } => {
-                let _ = write!(s, ",\"duration_ns\":{}", duration.as_nanos());
-            }
-            Event::FlashEndOfLife {
-                live,
-                usable,
-                retired,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"live\":{live},\"usable\":{usable},\"retired\":{retired}"
-                );
-            }
-            Event::EccCorrected { lbn, errors, .. }
-            | Event::UncorrectableRead { lbn, errors, .. } => {
-                let _ = write!(s, ",\"lbn\":{lbn},\"errors\":{errors}");
-            }
-            Event::ReadRetry { lbn, attempts, .. } => {
-                let _ = write!(s, ",\"lbn\":{lbn},\"attempts\":{attempts}");
-            }
-            Event::BlockRelocated {
-                lbn,
-                from_segment,
-                errors,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"lbn\":{lbn},\"from_segment\":{from_segment},\"errors\":{errors}"
-                );
-            }
-            Event::ScrubPass {
-                segment,
-                blocks,
-                corrected,
-                relocated,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"segment\":{segment},\"blocks\":{blocks},\"corrected\":{corrected},\"relocated\":{relocated}"
-                );
+macro_rules! plain_json_fields {
+    ($($ty:ty),*) => {$(
+        impl JsonField for $ty {
+            fn write_json(&self, key: &str, out: &mut String) {
+                let _ = write!(out, "\"{key}\":{self}");
             }
         }
-        s
-    }
+    )*};
+}
 
-    /// One complete JSON object for this event (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!("{{{}}}", self.json_fields())
+plain_json_fields!(u32, u64, bool);
+
+impl JsonField for SimDuration {
+    fn write_json(&self, key: &str, out: &mut String) {
+        self.as_nanos().write_json(key, out);
+    }
+}
+
+impl JsonField for OpKind {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, "\"{key}\":\"{}\"", self.name());
+    }
+}
+
+impl JsonField for FaultKind {
+    fn write_json(&self, key: &str, out: &mut String) {
+        let (name, payload, value) = match *self {
+            FaultKind::WriteRetry { retries } => ("write_retry", "retries", retries),
+            FaultKind::EraseRetry { retries } => ("erase_retry", "retries", retries),
+            FaultKind::SegmentRetired { segment } => ("segment_retired", "segment", segment),
+        };
+        let _ = write!(out, "\"{key}\":\"{name}\",\"{payload}\":{value}");
     }
 }
 
@@ -677,16 +527,147 @@ macro_rules! counters {
     };
 }
 
-/// An observer that counts events by name in a [`CounterRegistry`].
+/// Declares an event enum, such as [`Event`], from one row per kind.
+///
+/// A row is the variant's doc comment, its name and its snake_case
+/// export name, then its fields: the sim-time stamp `t: SimTime` first,
+/// then the payload, each field with its doc comment, its type and an
+/// optional `=> "<key>"` JSON key (default: the field name). The macro
+/// emits the enum, with the attributes given (its derives), and its
+/// `name`, `time`, `json_fields` and `to_json` methods. The JSON writes
+/// `t_ns` first, then `event`, then each payload field as its
+/// [`JsonField`] impl writes it. Adding an event kind is one row.
+///
+/// ```
+/// use mobistore_sim::time::{SimDuration, SimTime};
+///
+/// mobistore_sim::events! {
+///     /// Example events.
+///     #[derive(Debug)]
+///     pub enum Demo {
+///         /// A tick.
+///         Tick "tick" {
+///             /// When it ticked.
+///             t: SimTime,
+///             /// A count.
+///             count: u32,
+///             /// A duration, exported in nanoseconds.
+///             busy: SimDuration => "busy_ns",
+///         },
+///     }
+/// }
+///
+/// let e = Demo::Tick {
+///     t: SimTime::from_nanos(5),
+///     count: 2,
+///     busy: SimDuration::from_nanos(7),
+/// };
+/// assert_eq!(e.name(), "tick");
+/// assert_eq!(e.time(), SimTime::from_nanos(5));
+/// assert_eq!(e.to_json(), r#"{"t_ns":5,"event":"tick","count":2,"busy_ns":7}"#);
+/// ```
+#[macro_export]
+macro_rules! events {
+    (@key $field:ident) => {
+        stringify!($field)
+    };
+    (@key $field:ident $key:literal) => {
+        $key
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $event:literal {
+                    $(#[$tmeta:meta])*
+                    t: SimTime
+                    $(, $(#[$fmeta:meta])* $field:ident: $ty:ty $(=> $key:literal)?)*
+                    $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $(#[$tmeta])*
+                    t: $crate::time::SimTime,
+                    $($(#[$fmeta])* $field: $ty,)*
+                },
+            )*
+        }
+
+        impl $name {
+            /// Stable snake_case event name (the JSONL `event` field and
+            /// the counter key in a [`CounterRegistry`](crate::obs::CounterRegistry)).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $event,)*
+                }
+            }
+
+            /// The event's sim-time stamp.
+            pub fn time(&self) -> $crate::time::SimTime {
+                match *self {
+                    $($name::$variant { t, .. } => t,)*
+                }
+            }
+
+            /// The event's JSON fields — `"t_ns":…,"event":"…"` plus the
+            /// payload — without the enclosing braces, so callers can
+            /// prepend context (workload, device) before wrapping.
+            pub fn json_fields(&self) -> String {
+                use ::std::fmt::Write as _;
+                let mut s = String::with_capacity(96);
+                let _ = write!(
+                    s,
+                    "\"t_ns\":{},\"event\":\"{}\"",
+                    self.time().as_nanos(),
+                    self.name()
+                );
+                match self {
+                    $($name::$variant { $($field,)* .. } => {
+                        $(
+                            s.push(',');
+                            $crate::obs::JsonField::write_json(
+                                $field,
+                                $crate::events!(@key $field $($key)?),
+                                &mut s,
+                            );
+                        )*
+                    })*
+                }
+                s
+            }
+
+            /// One complete JSON object for this event (no trailing newline).
+            pub fn to_json(&self) -> String {
+                format!("{{{}}}", self.json_fields())
+            }
+        }
+    };
+}
+
+/// An observer that counts events by name in a [`CounterRegistry`] and
+/// counts spans, retaining neither.
 #[derive(Debug, Clone, Default)]
 pub struct CountingObserver {
     /// Event counts keyed by [`Event::name`].
     pub counts: CounterRegistry,
+    /// Spans seen.
+    pub spans: u64,
 }
 
 impl Observer for CountingObserver {
     fn record(&mut self, event: &Event) {
         self.counts.add(event.name(), 1);
+    }
+
+    fn span(&mut self, _span: &crate::span::Span) {
+        self.spans += 1;
     }
 }
 
@@ -707,6 +688,8 @@ impl Observer for RecordingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{Span, SpanKind};
+    use crate::time::SimTime;
 
     #[test]
     fn event_json_is_integer_only() {
@@ -739,6 +722,8 @@ mod tests {
         assert_eq!(obs.counts.get("disk_spin_up"), 2);
         assert_eq!(obs.counts.get("power_fail"), 1);
         assert_eq!(obs.counts.get("never"), 0);
+        obs.span(&Span::new(SpanKind::Recovery, t, t));
+        assert_eq!(obs.spans, 1);
         assert_eq!(
             obs.counts.to_json(),
             "{\"disk_spin_up\":2,\"power_fail\":1}"

@@ -27,95 +27,99 @@ use crate::time::{SimDuration, SimTime};
 /// Schema tag written at the top of every trace document.
 pub const TRACE_SCHEMA: &str = "mobistore-trace/1";
 
-/// What a span measured.
-///
-/// Payloads are integers only (plus [`OpKind`]), like [`crate::obs::Event`],
-/// so serialization is trivially deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// A trace operation, issue to completion (queue + service).
-    Op {
-        /// Operation class.
-        kind: OpKind,
-        /// First logical block touched.
-        lbn: u64,
-        /// Number of blocks touched.
-        blocks: u32,
-    },
-    /// The DRAM buffer cache probed and served (part of) a read.
-    CacheLookup {
-        /// Blocks found in the cache.
-        hits: u32,
-        /// Blocks that must go to the backend.
-        misses: u32,
-    },
-    /// The magnetic disk moved the arm and waited out rotation.
-    DiskSeek,
-    /// The magnetic disk transferred data.
-    DiskTransfer {
-        /// Bytes transferred.
-        bytes: u64,
-    },
-    /// A flash device served a read (including ECC decode time).
-    FlashRead {
-        /// Bytes read.
-        bytes: u64,
-    },
-    /// A flash device programmed pages.
-    FlashProgram {
-        /// Bytes programmed.
-        bytes: u64,
-    },
-    /// A flash device erased garbage (the flash disk's background
-    /// pre-erase).
-    FlashErase {
-        /// Bytes erased.
-        bytes: u64,
-    },
-    /// The flash card cleaned a victim segment (copy live + erase).
-    Cleaning {
-        /// Victim segment index.
-        victim: u32,
-    },
-    /// The background scrubber read one segment.
-    Scrub {
-        /// Segment scrubbed.
-        segment: u32,
-    },
-    /// Post-power-failure recovery (log scan / FAT replay / spin-up).
-    Recovery,
-    /// A marginal block read was recovered by bounded read-retry.
-    EccRetry {
-        /// The block that needed retries.
-        lbn: u64,
-        /// Retry attempts the recovery cost.
-        attempts: u32,
-    },
-    /// An erasure-coded array decoded a read from survivors after shard
-    /// loss (dead child or uncorrectable shard).
-    DegradedRead {
-        /// The logical block served degraded.
-        lbn: u64,
-        /// Shards missing from the block's stripe.
-        lost: u32,
-    },
-    /// The array's background reconstructor rebuilt stripes onto a hot
-    /// spare.
-    Rebuild {
-        /// First stripe rebuilt in this batch.
-        stripe: u64,
-        /// Stripes rebuilt in this batch.
-        stripes: u32,
-    },
-    /// An array write derived and stored parity shards.
-    ParityUpdate {
-        /// The stripe whose parity was rewritten.
-        stripe: u64,
-    },
+crate::spans! {
+    /// What a span measured.
+    ///
+    /// Payloads are integers only (plus [`OpKind`]), like [`crate::obs::Event`],
+    /// so serialization is trivially deterministic.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SpanKind {
+        /// A trace operation, issue to completion (queue + service).
+        /// Named `op/<kind>` rather than by its row (see [`SpanKind::name`]).
+        Op "op" in "ops" {
+            /// Operation class.
+            kind: OpKind => "op",
+            /// First logical block touched.
+            lbn: u64,
+            /// Number of blocks touched.
+            blocks: u32,
+        },
+        /// The DRAM buffer cache probed and served (part of) a read.
+        CacheLookup "cache_lookup" in "cache" {
+            /// Blocks found in the cache.
+            hits: u32,
+            /// Blocks that must go to the backend.
+            misses: u32,
+        },
+        /// The magnetic disk moved the arm and waited out rotation.
+        DiskSeek "disk_seek" in "device",
+        /// The magnetic disk transferred data.
+        DiskTransfer "disk_transfer" in "device" {
+            /// Bytes transferred.
+            bytes: u64,
+        },
+        /// A flash device served a read (including ECC decode time).
+        FlashRead "flash_read" in "device" {
+            /// Bytes read.
+            bytes: u64,
+        },
+        /// A flash device programmed pages.
+        FlashProgram "flash_program" in "device" {
+            /// Bytes programmed.
+            bytes: u64,
+        },
+        /// A flash device erased garbage (the flash disk's background
+        /// pre-erase).
+        FlashErase "flash_erase" in "device" {
+            /// Bytes erased.
+            bytes: u64,
+        },
+        /// The flash card cleaned a victim segment (copy live + erase).
+        Cleaning "cleaning" in "device" {
+            /// Victim segment index.
+            victim: u32,
+        },
+        /// The background scrubber read one segment.
+        Scrub "scrub" in "device" {
+            /// Segment scrubbed.
+            segment: u32,
+        },
+        /// Post-power-failure recovery (log scan / FAT replay / spin-up).
+        Recovery "recovery" in "device",
+        /// A marginal block read was recovered by bounded read-retry.
+        EccRetry "ecc_retry" in "device" {
+            /// The block that needed retries.
+            lbn: u64,
+            /// Retry attempts the recovery cost.
+            attempts: u32,
+        },
+        /// An erasure-coded array decoded a read from survivors after shard
+        /// loss (dead child or uncorrectable shard).
+        DegradedRead "degraded_read" in "device" {
+            /// The logical block served degraded.
+            lbn: u64,
+            /// Shards missing from the block's stripe.
+            lost: u32,
+        },
+        /// The array's background reconstructor rebuilt stripes onto a hot
+        /// spare.
+        Rebuild "rebuild" in "device" {
+            /// First stripe rebuilt in this batch.
+            stripe: u64,
+            /// Stripes rebuilt in this batch.
+            stripes: u32,
+        },
+        /// An array write derived and stored parity shards.
+        ParityUpdate "parity_update" in "device" {
+            /// The stripe whose parity was rewritten.
+            stripe: u64,
+        },
+    }
 }
 
 impl SpanKind {
-    /// Stable snake_case span name (the Chrome event `name`).
+    /// Stable snake_case span name (the Chrome event `name`): the row's
+    /// name, except that an [`Op`](SpanKind::Op) span is `op/<kind>`.
     pub fn name(&self) -> &'static str {
         match self {
             SpanKind::Op { kind, .. } => match kind {
@@ -123,76 +127,104 @@ impl SpanKind {
                 OpKind::Write => "op/write",
                 OpKind::Trim => "op/trim",
             },
-            SpanKind::CacheLookup { .. } => "cache_lookup",
-            SpanKind::DiskSeek => "disk_seek",
-            SpanKind::DiskTransfer { .. } => "disk_transfer",
-            SpanKind::FlashRead { .. } => "flash_read",
-            SpanKind::FlashProgram { .. } => "flash_program",
-            SpanKind::FlashErase { .. } => "flash_erase",
-            SpanKind::Cleaning { .. } => "cleaning",
-            SpanKind::Scrub { .. } => "scrub",
-            SpanKind::Recovery => "recovery",
-            SpanKind::EccRetry { .. } => "ecc_retry",
-            SpanKind::DegradedRead { .. } => "degraded_read",
-            SpanKind::Rebuild { .. } => "rebuild",
-            SpanKind::ParityUpdate { .. } => "parity_update",
+            _ => self.row_name(),
         }
     }
+}
 
-    /// The track (rendered thread group) this span belongs to: `"ops"`
-    /// for whole operations, `"cache"` for buffer-cache work, `"device"`
-    /// for everything the backing device does.
-    pub fn track(&self) -> &'static str {
-        match self {
-            SpanKind::Op { .. } => "ops",
-            SpanKind::CacheLookup { .. } => "cache",
-            _ => "device",
+/// Declares a span-kind enum, such as [`SpanKind`], from one row per kind.
+///
+/// A row is the variant's doc comment, its name, its snake_case name, the
+/// track it renders on (`in "<track>"`: `"ops"`, `"cache"` or `"device"`
+/// for [`chrome_trace_json`]), then its fields in braces, or nothing for a
+/// payload-free kind. Each field has its doc comment, its type and an
+/// optional `=> "<key>"` JSON key (default: the field name), and is
+/// written by its [`JsonField`](crate::obs::JsonField) impl. The macro
+/// emits the enum, with the attributes given (its derives), a private
+/// `row_name`, and the `track` and `args_json` methods; `args_json` is
+/// empty for a payload-free kind. Adding a span kind is one row.
+///
+/// ```
+/// mobistore_sim::spans! {
+///     /// Example spans.
+///     #[derive(Debug)]
+///     pub enum Demo {
+///         /// A probe.
+///         Probe "probe" in "cache" {
+///             /// Blocks found.
+///             hits: u32,
+///             /// Bytes moved.
+///             size: u64 => "bytes",
+///         },
+///         /// A pause.
+///         Pause "pause" in "device",
+///     }
+/// }
+///
+/// let probe = Demo::Probe { hits: 2, size: 512 };
+/// assert_eq!(probe.row_name(), "probe");
+/// assert_eq!(probe.track(), "cache");
+/// assert_eq!(probe.args_json(), r#""hits":2,"bytes":512"#);
+/// assert_eq!(Demo::Pause.args_json(), "");
+/// ```
+#[macro_export]
+macro_rules! spans {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $span:literal in $track:literal $({
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty $(=> $key:literal)?),* $(,)?
+                })?
+            ),* $(,)?
         }
-    }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $ty,)* })?,
+            )*
+        }
 
-    /// The span's Chrome `args` object fields (no enclosing braces;
-    /// empty for payload-free spans).
-    pub fn args_json(&self) -> String {
-        let mut s = String::new();
-        match *self {
-            SpanKind::Op { kind, lbn, blocks } => {
-                let _ = write!(
-                    s,
-                    "\"op\":\"{}\",\"lbn\":{lbn},\"blocks\":{blocks}",
-                    kind.name()
-                );
+        impl $name {
+            /// The row's declared snake_case name.
+            fn row_name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $span,)*
+                }
             }
-            SpanKind::CacheLookup { hits, misses } => {
-                let _ = write!(s, "\"hits\":{hits},\"misses\":{misses}");
+
+            /// The track (rendered thread group) this span belongs to.
+            pub fn track(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $track,)*
+                }
             }
-            SpanKind::DiskSeek | SpanKind::Recovery => {}
-            SpanKind::DiskTransfer { bytes }
-            | SpanKind::FlashRead { bytes }
-            | SpanKind::FlashProgram { bytes }
-            | SpanKind::FlashErase { bytes } => {
-                let _ = write!(s, "\"bytes\":{bytes}");
-            }
-            SpanKind::Cleaning { victim } => {
-                let _ = write!(s, "\"victim\":{victim}");
-            }
-            SpanKind::Scrub { segment } => {
-                let _ = write!(s, "\"segment\":{segment}");
-            }
-            SpanKind::EccRetry { lbn, attempts } => {
-                let _ = write!(s, "\"lbn\":{lbn},\"attempts\":{attempts}");
-            }
-            SpanKind::DegradedRead { lbn, lost } => {
-                let _ = write!(s, "\"lbn\":{lbn},\"lost\":{lost}");
-            }
-            SpanKind::Rebuild { stripe, stripes } => {
-                let _ = write!(s, "\"stripe\":{stripe},\"stripes\":{stripes}");
-            }
-            SpanKind::ParityUpdate { stripe } => {
-                let _ = write!(s, "\"stripe\":{stripe}");
+
+            /// The span's Chrome `args` object fields (no enclosing braces;
+            /// empty for payload-free spans).
+            pub fn args_json(&self) -> String {
+                let mut s = String::new();
+                match self {
+                    $($name::$variant { $($($field,)*)? .. } => {
+                        $($(
+                            if !s.is_empty() {
+                                s.push(',');
+                            }
+                            $crate::obs::JsonField::write_json(
+                                $field,
+                                $crate::events!(@key $field $($key)?),
+                                &mut s,
+                            );
+                        )*)?
+                    })*
+                }
+                s
             }
         }
-        s
-    }
+    };
 }
 
 /// One completed interval of simulated time.
